@@ -48,6 +48,7 @@ pub mod commitment;
 pub mod committee;
 pub mod decentralized;
 pub mod economics;
+mod graph;
 pub mod judge;
 pub mod manager;
 pub mod mining;

@@ -2,6 +2,7 @@
 //! aggregation, and reward crediting (§III-A, §V).
 
 use crate::calibrate::{CalibrationPolicy, CalibrationResult, Calibrator};
+use crate::committee::{audit_indices, CommitteeBatch};
 use crate::pool::Scheme;
 use crate::tasks::TaskConfig;
 use crate::trainer::epoch_segments;
@@ -94,7 +95,22 @@ pub(crate) struct HierarchicalIngest {
     proof_bytes: u64,
     commit_bytes_hashed: u64,
     peak_commit_bytes: u64,
+    /// Accepted workers' addresses in fold order, credited at finish (so
+    /// folding needs only shared access to the manager).
+    credits: Vec<Address>,
     report: HierarchyReport,
+}
+
+/// A committee's verdict batch after the wire round trip, the root check
+/// and the inclusion proofs of its audited positions: everything that
+/// precedes the top manager's audit replays (DESIGN.md §15).
+pub(crate) struct SealedCommittee {
+    committee: usize,
+    batch: CommitteeBatch,
+    batch_bytes: u64,
+    commit_bytes: u64,
+    /// Audited positions in the batch (= participant order).
+    pub(crate) audits: Vec<usize>,
 }
 
 /// What happened in one epoch of pooled training.
@@ -543,51 +559,25 @@ impl PoolManager {
         prepared: &PreparedVerification,
         parallel: bool,
     ) -> Vec<WorkerVerdict> {
-        if parallel {
-            self.verify_participants_parallel(participants, plan, prepared)
-        } else {
+        // Worker-granular even when parallel: a faulty provider's fault
+        // draws are keyed by its own request sequence, which must advance
+        // in sample order. (Committee audits fan out per sample: a
+        // hierarchy never runs over a faulty link.)
+        let verify = |i: usize| {
+            let part = &participants[i];
             let (mut scratch, mut arena) = self.checkout_replay_state();
-            let verdicts = participants
-                .iter()
-                .map(|part| {
-                    self.verify_one(
-                        &mut scratch,
-                        &mut arena,
-                        part,
-                        plan,
-                        &prepared.segments,
-                        &prepared.assignments[part.id],
-                    )
-                })
-                .collect();
+            let assignment = &prepared.assignments[part.id];
+            let segments = &prepared.segments;
+            let verdict =
+                self.verify_one(&mut scratch, &mut arena, part, plan, segments, assignment);
             self.checkin_replay_state((scratch, arena));
-            verdicts
+            verdict
+        };
+        if parallel {
+            self.fan_out().run_indexed(participants.len(), verify)
+        } else {
+            (0..participants.len()).map(verify).collect()
         }
-    }
-
-    /// Re-verifies one participant from scratch — the top manager's audit
-    /// replay. Identical numerics to the sub-manager's verification (same
-    /// assignment, nonce, noise seed, pooled replay states), so an honest
-    /// committee's audited verdict always matches bit for bit; the audit's
-    /// replay and proof costs are charged to [`HierarchyReport`], never to
-    /// the tier-1 epoch accounting.
-    pub(crate) fn audit_one(
-        &self,
-        part: &Participant<'_>,
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-    ) -> WorkerVerdict {
-        let (mut scratch, mut arena) = self.checkout_replay_state();
-        let verdict = self.verify_one(
-            &mut scratch,
-            &mut arena,
-            part,
-            plan,
-            &prepared.segments,
-            &prepared.assignments[part.id],
-        );
-        self.checkin_replay_state((scratch, arena));
-        verdict
     }
 
     /// Starts a hierarchical epoch reduction (DESIGN.md §15): committees
@@ -612,6 +602,7 @@ impl PoolManager {
             proof_bytes: 0,
             commit_bytes_hashed: 0,
             peak_commit_bytes: 0,
+            credits: Vec::new(),
             report: HierarchyReport {
                 committees: hierarchy.committees,
                 ..HierarchyReport::default()
@@ -619,24 +610,12 @@ impl PoolManager {
         }
     }
 
-    /// One committee's full sub-manager → top-manager round trip:
-    ///
-    /// 1. **Sub-manager**: sampled-replay verification over the
-    ///    committee's delivered participants, verdicts Merkle-committed
-    ///    into a [`CommitteeBatch`](crate::committee::CommitteeBatch).
-    /// 2. **Wire**: the batch is encoded, framed, and decoded back — the
-    ///    byte accounting and codec are the real thing, not a model.
-    /// 3. **Top manager**: root-consistency check (anything else is
-    ///    sub-manager equivocation), then `q_top` spot-audits — Merkle
-    ///    inclusion proof plus a full re-replay of the audited worker —
-    ///    with audit costs charged to the [`HierarchyReport`] only.
-    /// 4. **Classification**: accept/reject/quarantine per the delivered
-    ///    verdicts, accepted updates folded into the order-invariant
-    ///    fixed-point accumulator so the caller can drop the committee's
-    ///    submissions before the next committee runs.
+    /// One committee's sub-manager → top-manager round trip: sampled-replay
+    /// verification, then the top-tier half the overlapped task graph
+    /// runs stage by stage: seal, audit, fold.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn ingest_committee(
-        &mut self,
+        &self,
         ingest: &mut HierarchicalIngest,
         seed: u64,
         committee: usize,
@@ -645,47 +624,118 @@ impl PoolManager {
         prepared: &PreparedVerification,
         parallel: bool,
     ) {
-        use crate::committee::{audit_indices, CommitteeBatch};
         if participants.is_empty() {
             return;
         }
-        let verdict_list = self.verify_committee(participants, plan, prepared, parallel);
-        let committee_commit_bytes: u64 = participants
+        let verdicts = self.verify_committee(participants, plan, prepared, parallel);
+        let q_top = ingest.hierarchy.q_top;
+        let sealed = self.seal_committee(q_top, seed, plan, committee, participants, verdicts);
+        let audited = self.audit_committee(&sealed, participants, plan, prepared, parallel);
+        self.fold_committee(ingest, sealed, participants, audited);
+    }
+
+    /// Commits a verified committee's verdicts (one per participant, in
+    /// participant order) into a [`CommitteeBatch`], ships it through the
+    /// real wire codec and frame, checks root consistency (anything else
+    /// is sub-manager equivocation), and checks the Merkle inclusion proof
+    /// of every position the top manager will audit.
+    pub(crate) fn seal_committee(
+        &self,
+        q_top: usize,
+        seed: u64,
+        plan: &EpochPlan,
+        committee: usize,
+        participants: &[Participant<'_>],
+        verdicts: Vec<WorkerVerdict>,
+    ) -> SealedCommittee {
+        let commit_bytes = participants
             .iter()
             .map(|p| p.submission.commit_bytes_hashed)
             .sum();
+        let ids = participants.iter().map(|p| p.id);
         let batch = CommitteeBatch::from_verdicts(
             plan.epoch,
             committee,
-            participants
-                .iter()
-                .map(|p| p.id)
-                .zip(verdict_list)
-                .collect(),
-            committee_commit_bytes,
+            ids.zip(verdicts).collect(),
+            commit_bytes,
         );
         let payload = crate::wire::encode_committee_batch(&batch);
-        ingest.report.batch_bytes += crate::wire::seal_frame(&payload).len() as u64;
-        let delivered = crate::wire::decode_committee_batch(payload)
+        let batch_bytes = crate::wire::seal_frame(&payload).len() as u64;
+        let batch = crate::wire::decode_committee_batch(payload)
             .expect("self-encoded committee batch decodes");
         assert!(
-            delivered.root_consistent(),
+            batch.root_consistent(),
             "committee batch equivocation: root does not cover the shipped verdicts"
         );
-        for &i in &audit_indices(
-            seed,
-            plan.epoch,
-            committee,
-            ingest.hierarchy.q_top,
-            delivered.verdicts.len(),
-        ) {
-            let (w, committed) = &delivered.verdicts[i];
-            let proof = delivered.prove(i);
+        let audits = audit_indices(seed, plan.epoch, committee, q_top, batch.verdicts.len());
+        for &i in &audits {
+            let (w, committed) = &batch.verdicts[i];
             assert!(
-                delivered.verify_inclusion(&proof, *w, committed),
+                batch.verify_inclusion(&batch.prove(i), *w, committed),
                 "audited verdict failed its inclusion proof"
             );
-            let replayed = self.audit_one(&participants[i], plan, prepared);
+        }
+        SealedCommittee {
+            committee,
+            batch,
+            batch_bytes,
+            commit_bytes,
+            audits,
+        }
+    }
+
+    /// The top manager's audit replays of a sealed committee, one verdict
+    /// per audited position: every sampled checkpoint of the audited
+    /// worker is re-replayed with the sub-manager's own assignment, so an
+    /// honest committee's audited verdict matches its leaf bit for bit.
+    /// With `parallel` the replays fan out per sample.
+    pub(crate) fn audit_committee(
+        &self,
+        sealed: &SealedCommittee,
+        participants: &[Participant<'_>],
+        plan: &EpochPlan,
+        prepared: &PreparedVerification,
+        parallel: bool,
+    ) -> Vec<WorkerVerdict> {
+        let jobs: Vec<(usize, usize)> = sealed
+            .audits
+            .iter()
+            .flat_map(|&i| (0..prepared.sample_count(participants[i].id)).map(move |pos| (i, pos)))
+            .collect();
+        let replay = |j: usize| {
+            let (i, pos) = jobs[j];
+            self.verify_prepared_sample(&participants[i], plan, prepared, pos)
+        };
+        let mut samples = if parallel {
+            self.fan_out().run_indexed(jobs.len(), replay)
+        } else {
+            (0..jobs.len()).map(replay).collect()
+        }
+        .into_iter();
+        sealed
+            .audits
+            .iter()
+            .map(|&i| {
+                let count = prepared.sample_count(participants[i].id);
+                WorkerVerdict::from_samples(samples.by_ref().take(count))
+            })
+            .collect()
+    }
+
+    /// Folds a sealed, audited committee into the epoch: audit accounting
+    /// (charged to the [`HierarchyReport`] only), accept/reject/quarantine
+    /// per the delivered verdicts, and the accepted updates into the
+    /// order-invariant fixed-point accumulator — after which the caller
+    /// may drop the committee's submissions.
+    pub(crate) fn fold_committee(
+        &self,
+        ingest: &mut HierarchicalIngest,
+        sealed: SealedCommittee,
+        participants: &[Participant<'_>],
+        audited: Vec<WorkerVerdict>,
+    ) {
+        for (&i, replayed) in sealed.audits.iter().zip(audited) {
+            let (w, committed) = &sealed.batch.verdicts[i];
             ingest.report.audits += 1;
             ingest.report.audit_replayed_steps += replayed.replayed_steps;
             ingest.report.audit_proof_bytes += replayed.proof_bytes;
@@ -694,14 +744,15 @@ impl PoolManager {
                 event!(
                     self.recorder,
                     "rpol.committee.audit_mismatch",
-                    epoch = plan.epoch,
-                    committee,
+                    epoch = sealed.batch.epoch,
+                    committee = sealed.committee,
                     worker = *w
                 );
             }
         }
-        ingest.report.verdicts += delivered.verdicts.len() as u64;
-        for ((w, verdict), part) in delivered.verdicts.into_iter().zip(participants) {
+        ingest.report.batch_bytes += sealed.batch_bytes;
+        ingest.report.verdicts += sealed.batch.verdicts.len() as u64;
+        for ((w, verdict), part) in sealed.batch.verdicts.into_iter().zip(participants) {
             debug_assert_eq!(w, part.id, "batch order matches participant order");
             ingest.proof_bytes += verdict.proof_bytes;
             ingest.double_checks += verdict.double_checks();
@@ -711,14 +762,14 @@ impl PoolManager {
             } else if verdict.all_accepted() {
                 ingest.accepted.push(w);
                 self.agg_accumulate(&mut ingest.acc, &part.submission.final_weights);
-                self.credit(part.address);
+                ingest.credits.push(part.address);
             } else {
                 ingest.rejected.push(w);
             }
             ingest.verdicts.push((w, verdict));
         }
-        ingest.commit_bytes_hashed += committee_commit_bytes;
-        ingest.peak_commit_bytes = ingest.peak_commit_bytes.max(committee_commit_bytes);
+        ingest.commit_bytes_hashed += sealed.commit_bytes;
+        ingest.peak_commit_bytes = ingest.peak_commit_bytes.max(sealed.commit_bytes);
     }
 
     /// Closes a hierarchical epoch: canonical worker-id ordering (the
@@ -736,6 +787,9 @@ impl PoolManager {
         ingest.quarantined.sort_unstable();
         ingest.verdicts.sort_by_key(|&(w, _)| w);
         self.agg_finalize(&ingest.acc, ingest.accepted.len());
+        for address in ingest.credits {
+            self.contributions.credit(address);
+        }
         comm.proof_bytes += ingest.proof_bytes;
         EpochReport {
             epoch: plan.epoch,
@@ -821,52 +875,12 @@ impl PoolManager {
         })
     }
 
-    /// Worker-granular parallel verification: one task per participant,
-    /// on the persistent executor when one is attached (scoped threads
-    /// otherwise). Kept worker-granular — rather than per-sample — on the
-    /// transport path because a faulty provider's fault draws are keyed
-    /// by its own request sequence, which must advance in sample order.
-    fn verify_participants_parallel(
-        &self,
-        participants: &[Participant<'_>],
-        plan: &EpochPlan,
-        prepared: &PreparedVerification,
-    ) -> Vec<WorkerVerdict> {
-        let verify = |i: usize| {
-            let part = &participants[i];
-            let (mut scratch, mut arena) = self.checkout_replay_state();
-            let verdict = self.verify_one(
-                &mut scratch,
-                &mut arena,
-                part,
-                plan,
-                &prepared.segments,
-                &prepared.assignments[part.id],
-            );
-            self.checkin_replay_state((scratch, arena));
-            verdict
-        };
-        if let Some(exec) = &self.executor {
-            exec.run_indexed(participants.len(), verify)
-        } else {
-            let slots: parking_lot::Mutex<Vec<Option<WorkerVerdict>>> =
-                parking_lot::Mutex::new((0..participants.len()).map(|_| None).collect());
-            crossbeam::thread::scope(|scope| {
-                for i in 0..participants.len() {
-                    let verify = &verify;
-                    let slots = &slots;
-                    scope.spawn(move |_| {
-                        slots.lock()[i] = Some(verify(i));
-                    });
-                }
-            })
-            .expect("verification thread panicked");
-            slots
-                .into_inner()
-                .into_iter()
-                .map(|s| s.expect("every participant verified"))
-                .collect()
-        }
+    /// The executor parallel fan-outs run on: the attached one, else the
+    /// process-wide shared pool.
+    fn fan_out(&self) -> &Executor {
+        self.executor
+            .as_deref()
+            .unwrap_or_else(|| rpol_exec::shared())
     }
 
     /// The serial tail of an epoch: merge per-worker verdicts in
@@ -1104,13 +1118,6 @@ impl PoolManager {
         for (g, &a) in self.global.iter_mut().zip(acc) {
             *g = (*g as f64 + weight * (a as f64 / AGG_SCALE)) as f32;
         }
-    }
-
-    /// Credits one accepted worker for the eventual reward split — the
-    /// streaming hierarchical runtime's counterpart of the crediting loop
-    /// in [`PoolManager::reduce_epoch`].
-    pub(crate) fn credit(&mut self, address: Address) {
-        self.contributions.credit(address);
     }
 
     /// Samples `q` distinct checkpoint indices from `0..segment_count`

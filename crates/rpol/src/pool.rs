@@ -7,7 +7,7 @@ use crate::committee::{partition, Hierarchy};
 use crate::manager::{CommStats, EpochReport, Participant, PoolManager};
 use crate::tasks::TaskConfig;
 use crate::transport::{link_state, FaultConfig, LinkState, MsgKind, Transport, TransportStats};
-use crate::verify::{ProofProvider, ProofUnavailable, SampleVerdict, WorkerVerdict};
+use crate::verify::{ProofProvider, ProofUnavailable};
 use crate::wire;
 use crate::worker::{CommitMode, EpochSubmission, PoolWorker};
 use rpol_crypto::Address;
@@ -21,7 +21,7 @@ use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// Fixed evaluation chunk (rows per forward pass). Serial and parallel
 /// evaluation run the same chunk shapes and merge integer correct-counts
@@ -591,160 +591,23 @@ impl MiningPool {
     }
 
     /// Runs one epoch on the pool's persistent executor with **phase
-    /// overlap**: every worker's training is one task, and the moment
-    /// worker `w`'s submission lands, one verification task per sampled
-    /// checkpoint of `w` is spawned — other workers may still be training.
-    /// Zero threads are spawned per epoch; the executor is constructed
-    /// once for the pool's lifetime.
+    /// overlap**, flat or through the committee hierarchy, on the one
+    /// task graph of DESIGN.md §12: the moment worker `w`'s submission
+    /// lands, one verification task per sampled checkpoint of `w` is
+    /// spawned while others still train, and a committee's last sample
+    /// seals its batch and spawns its audits. Zero threads are spawned
+    /// per epoch.
     ///
-    /// Bitwise identical to [`MiningPool::run_epoch`] at every thread
-    /// count: the sampling schedule is drawn eagerly from the same RNG
-    /// stream (training never touches the manager's RNG), per-sample
-    /// verdicts merge in index order, and evaluation chunks are fixed.
+    /// Bitwise identical to the serial runs at every thread count: the
+    /// sampling schedule is drawn eagerly from the same RNG stream
+    /// (training never touches the manager's RNG), per-sample verdicts
+    /// merge in index order, committees fold into the order-invariant
+    /// fixed-point accumulator, and evaluation chunks are fixed.
     pub fn run_epoch_parallel(&mut self, epoch: u64) -> EpochRecord {
-        use parking_lot::Mutex;
-
-        let exec = self.ensure_executor();
         let start = std::time::Instant::now();
         let recorder = self.recorder.clone();
         let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let n = self.workers.len();
-        let plan = self.manager.begin_epoch(n, epoch);
-        // Eager draw of the verification schedule — same RNG stream as the
-        // serial path's post-training draw. `None` for the baseline
-        // scheme, which never draws sampling state.
-        let prepared = self.manager.prepare_verification(&plan, n);
-
-        let config = *self.manager.config();
-        let global = self.manager.global_weights().to_vec();
-        let manager = &self.manager;
-
-        // Each worker moves by value into its training task; verification
-        // tasks read it back from its slot as soon as training stores it.
-        let slots: Vec<RwLock<Option<PoolWorker>>> = std::mem::take(&mut self.workers)
-            .into_iter()
-            .map(|w| RwLock::new(Some(w)))
-            .collect();
-        let submissions: Vec<OnceLock<EpochSubmission>> = (0..n).map(|_| OnceLock::new()).collect();
-        let sample_slots: Vec<Vec<Mutex<Option<SampleVerdict>>>> = (0..n)
-            .map(|w| {
-                let q = prepared.as_ref().map_or(0, |p| p.sample_count(w));
-                (0..q).map(|_| Mutex::new(None)).collect()
-            })
-            .collect();
-
-        exec.scope(|s| {
-            for w in 0..n {
-                let slot = &slots[w];
-                let submission = &submissions[w];
-                let verdicts = &sample_slots[w];
-                let plan = &plan;
-                let prepared = prepared.as_ref();
-                let config = &config;
-                let global = &global;
-                let recorder = &recorder;
-                s.spawn(move || {
-                    let mut worker = slot.write().expect("worker slot").take().expect("present");
-                    let sub = {
-                        let _g = span!(
-                            recorder,
-                            "rpol.worker.train_epoch",
-                            epoch,
-                            worker = w,
-                            steps = plan.steps
-                        );
-                        worker.run_epoch(
-                            config,
-                            global,
-                            plan.nonces[w],
-                            plan.steps,
-                            epoch,
-                            plan.commit_mode(),
-                        )
-                    };
-                    *slot.write().expect("worker slot") = Some(worker);
-                    assert!(submission.set(sub).is_ok(), "one submission per worker");
-                    // This worker's commit landed: fan its sampled
-                    // checkpoints out as independent tasks right away.
-                    if let Some(prepared) = prepared {
-                        span!(
-                            recorder,
-                            "rpol.verify.worker",
-                            epoch = plan.epoch,
-                            worker = w,
-                            samples = prepared.sample_count(w)
-                        );
-                        for (pos, verdict_slot) in verdicts.iter().enumerate() {
-                            s.spawn(move || {
-                                let guard = slot.read().expect("worker slot");
-                                let worker = guard.as_ref().expect("trained worker stored");
-                                let part = Participant {
-                                    id: w,
-                                    address: worker.address,
-                                    shard: worker.shard(),
-                                    submission: submission.get().expect("submission stored"),
-                                    provider: worker,
-                                };
-                                *verdict_slot.lock() = Some(
-                                    manager.verify_prepared_sample(&part, plan, prepared, pos),
-                                );
-                            });
-                        }
-                    }
-                });
-            }
-        });
-
-        // Deterministic reduction: reassemble state and merge per-sample
-        // verdicts in (worker, sample) index order.
-        self.workers = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("worker slot")
-                    .expect("worker returned to its slot")
-            })
-            .collect();
-        let submissions: Vec<EpochSubmission> = submissions
-            .into_iter()
-            .map(|s| s.into_inner().expect("every worker submitted"))
-            .collect();
-        let verdict_list: Option<Vec<WorkerVerdict>> = prepared.as_ref().map(|_| {
-            sample_slots
-                .iter()
-                .map(|per_worker| {
-                    WorkerVerdict::from_samples(
-                        per_worker
-                            .iter()
-                            .map(|m| m.lock().take().expect("sample verified")),
-                    )
-                })
-                .collect()
-        });
-
-        let participants: Vec<Participant<'_>> = self
-            .workers
-            .iter()
-            .map(|worker| Participant {
-                id: worker.id,
-                address: worker.address,
-                shard: worker.shard(),
-                submission: &submissions[worker.id],
-                provider: worker,
-            })
-            .collect();
-        let model_bytes = (self.manager.global_weights().len() * 4) as u64;
-        let mut comm = CommStats {
-            broadcast_bytes: model_bytes * n as u64,
-            ..CommStats::default()
-        };
-        for sub in &submissions {
-            comm.submission_bytes += sub.upload_bytes;
-        }
-        let report = self
-            .manager
-            .reduce_epoch(&plan, &participants, &[], comm, verdict_list);
-        drop(participants);
+        let report = crate::graph::run_epoch(self, epoch);
         EpochRecord {
             report,
             test_accuracy: self.test_accuracy(),
@@ -760,9 +623,8 @@ impl MiningPool {
     /// 1. The roster is rendezvous-partitioned into committees (seeded on
     ///    the pool seed, so the assignment is stable across epochs and
     ///    churn moves O(1/C) workers).
-    /// 2. Each committee's sub-manager trains its members (on the
-    ///    persistent executor when `parallel`), runs the existing
-    ///    sampled-replay verification over them, and emits a
+    /// 2. Each committee's sub-manager trains its members, runs the
+    ///    existing sampled-replay verification over them, and emits a
     ///    Merkle-committed verdict batch over canonical verdict leaves.
     /// 3. The top manager ingests only the batch (root + verdicts + byte
     ///    counts) off the framed wire format, checks root consistency,
@@ -772,14 +634,17 @@ impl MiningPool {
     ///    accumulator. The committee's submissions are dropped before the
     ///    next committee trains.
     ///
+    /// This serial loop is the reference the overlapped task graph
+    /// ([`MiningPool::run_epoch_parallel`]) is pinned against.
+    ///
     /// Bitwise identical accept/reject/quarantine sets to the flat path at
-    /// equal sampling parameters and any thread count: the manager RNG is
-    /// consumed in exactly the flat order (`begin_epoch` nonces, then
+    /// equal sampling parameters: the manager RNG is consumed in exactly
+    /// the flat order (`begin_epoch` nonces, then
     /// `prepare_verification` assignments for all workers), each verdict
     /// depends only on its own worker's assignment, audit sampling uses an
     /// independent PRF, and the fixed-point aggregation makes the
     /// committee-order fold equal the worker-order fold exactly.
-    fn run_epoch_hierarchical(&mut self, epoch: u64, parallel: bool) -> EpochRecord {
+    fn run_epoch_hierarchical(&mut self, epoch: u64) -> EpochRecord {
         let start = std::time::Instant::now();
         let recorder = self.recorder.clone();
         let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
@@ -787,7 +652,6 @@ impl MiningPool {
             .config
             .hierarchy
             .expect("hierarchical path needs a hierarchy");
-        let exec = parallel.then(|| self.ensure_executor());
         let n = self.workers.len();
         // Identical RNG consumption to the flat paths: nonces, then the
         // full verification schedule, before any committee runs.
@@ -821,67 +685,26 @@ impl MiningPool {
             // Sub-manager phase 1: train this committee's members. Only
             // their submissions are resident — the previous committee's
             // were dropped at the end of its loop iteration.
-            let subs: Vec<EpochSubmission> = if let Some(exec) = &exec {
-                let slots: Vec<OnceLock<EpochSubmission>> =
-                    members.iter().map(|_| OnceLock::new()).collect();
-                let member_pos: std::collections::HashMap<usize, usize> =
-                    members.iter().enumerate().map(|(p, &w)| (w, p)).collect();
-                exec.scope(|s| {
-                    for (w, worker) in self.workers.iter_mut().enumerate() {
-                        let Some(&pos) = member_pos.get(&w) else {
-                            continue;
-                        };
-                        let slot = &slots[pos];
-                        let plan = &plan;
-                        let config = &config;
-                        let global = &global;
-                        let recorder = &recorder;
-                        s.spawn(move || {
-                            let _g = span!(
-                                recorder,
-                                "rpol.worker.train_epoch",
-                                epoch,
-                                worker = w,
-                                steps = plan.steps
-                            );
-                            let sub = worker.run_epoch(
-                                config,
-                                global,
-                                plan.nonces[w],
-                                plan.steps,
-                                epoch,
-                                plan.commit_mode(),
-                            );
-                            assert!(slot.set(sub).is_ok(), "one submission per worker");
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("member trained"))
-                    .collect()
-            } else {
-                members
-                    .iter()
-                    .map(|&w| {
-                        let _g = span!(
-                            recorder,
-                            "rpol.worker.train_epoch",
-                            epoch,
-                            worker = w,
-                            steps = plan.steps
-                        );
-                        self.workers[w].run_epoch(
-                            &config,
-                            &global,
-                            plan.nonces[w],
-                            plan.steps,
-                            epoch,
-                            plan.commit_mode(),
-                        )
-                    })
-                    .collect()
-            };
+            let subs: Vec<EpochSubmission> = members
+                .iter()
+                .map(|&w| {
+                    let _g = span!(
+                        recorder,
+                        "rpol.worker.train_epoch",
+                        epoch,
+                        worker = w,
+                        steps = plan.steps
+                    );
+                    self.workers[w].run_epoch(
+                        &config,
+                        &global,
+                        plan.nonces[w],
+                        plan.steps,
+                        epoch,
+                        plan.commit_mode(),
+                    )
+                })
+                .collect();
 
             // Sub-manager phase 2 + top-manager ingest: sampled-replay
             // verification, Merkle-committed batch over the framed wire
@@ -909,7 +732,7 @@ impl MiningPool {
                 &participants,
                 &plan,
                 &prepared,
-                parallel,
+                false,
             );
             drop(participants);
             comm.submission_bytes += subs.iter().map(|s| s.upload_bytes).sum::<u64>();
@@ -1028,13 +851,12 @@ impl MiningPool {
         for e in 0..self.config.epochs {
             let record = if self.config.fault.is_some() {
                 self.run_epoch_transport(e as u64, mode != RunMode::Serial)
-            } else if self.config.hierarchy.is_some() {
-                self.run_epoch_hierarchical(e as u64, mode != RunMode::Serial)
             } else {
-                match mode {
-                    RunMode::Serial => self.run_epoch(e as u64),
-                    RunMode::Scoped => self.run_epoch_scoped(e as u64),
-                    RunMode::Overlapped => self.run_epoch_parallel(e as u64),
+                match (mode, self.config.hierarchy) {
+                    (RunMode::Serial, Some(_)) => self.run_epoch_hierarchical(e as u64),
+                    (RunMode::Serial, None) => self.run_epoch(e as u64),
+                    (RunMode::Scoped, None) => self.run_epoch_scoped(e as u64),
+                    (RunMode::Overlapped | RunMode::Scoped, _) => self.run_epoch_parallel(e as u64),
                 }
             };
             self.publish_epoch(&record);

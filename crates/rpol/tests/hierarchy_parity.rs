@@ -119,3 +119,53 @@ fn hierarchical_runs_stream_with_bounded_peak_memory() {
         assert!(h.batch_bytes > 0);
     }
 }
+
+/// The serial hierarchical loop (`threads: None`) or the overlapped task
+/// graph, on an RPoLv3 roster with both adversaries and honest workers.
+fn run_v3(committees: usize, threads: Option<usize>) -> PoolReport {
+    use WorkerBehavior::{Honest, ReplayPrevious};
+    let spoof = WorkerBehavior::PartialSpoof {
+        honest_fraction: 0.25,
+        lambda: 1.0,
+    };
+    let roster = vec![Honest, spoof, ReplayPrevious, Honest, ReplayPrevious, spoof];
+    let hierarchy = Hierarchy::new(committees, 1).expect("valid hierarchy");
+    let pool = MiningPool::new(
+        PoolConfig::tiny_demo(Scheme::RPoLv3).with_hierarchy(hierarchy),
+        roster,
+    );
+    match threads {
+        None => {
+            let mut pool = pool;
+            pool.run()
+        }
+        Some(t) => pool.with_threads(t).run_parallel(),
+    }
+}
+
+#[test]
+fn overlapped_committees_match_the_serial_committee_loop() {
+    // The full epoch report — `HierarchyReport` included — plus the
+    // accuracy bits.
+    let full_key = |r: &PoolReport| -> Vec<String> {
+        let key = |e: &rpol::pool::EpochRecord| {
+            format!("{:?}|{:08x}", e.report, e.test_accuracy.to_bits())
+        };
+        r.epochs.iter().map(key).collect()
+    };
+    for committees in [1, 2, 3] {
+        let serial = run_v3(committees, None);
+        assert!(serial.rejections() > 0, "no rejections to compare");
+        for rec in &serial.epochs {
+            let h = rec.report.hierarchy.expect("hierarchical run");
+            assert!(h.audits > 0 && h.audit_replayed_steps > 0 && h.batch_bytes > 0);
+            assert_eq!(h.audit_mismatches, 0, "in-process sub-managers are honest");
+        }
+        for threads in [1, 2, 8] {
+            let overlapped = run_v3(committees, Some(threads));
+            let msg = format!("C={committees}, {threads} threads diverged from serial");
+            assert_eq!(full_key(&overlapped), full_key(&serial), "{msg}");
+            assert_eq!(decision_key(&overlapped), decision_key(&serial), "{msg}");
+        }
+    }
+}

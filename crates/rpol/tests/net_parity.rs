@@ -98,6 +98,45 @@ fn hierarchical_socket_run_matches_flat_simulated_run() {
 }
 
 #[test]
+fn hierarchical_socket_audits_fan_out_per_sample() {
+    // With `parallel_verify` the server fans committee audits out per
+    // sampled checkpoint; decisions and committee accounting must equal
+    // the serial server's.
+    let behaviors = vec![
+        WorkerBehavior::Honest,
+        WorkerBehavior::ReplayPrevious,
+        WorkerBehavior::Honest,
+        WorkerBehavior::Honest,
+    ];
+    let hierarchy = Hierarchy::new(2, 1).expect("valid hierarchy");
+    let config = PoolConfig::tiny_demo(Scheme::RPoLv2).with_hierarchy(hierarchy);
+    let run = |parallel_verify| {
+        let server = ServerConfig {
+            parallel_verify,
+            ..ServerConfig::default()
+        };
+        let options = SocketRunOptions {
+            server,
+            client: quick_tuning(),
+            ..SocketRunOptions::default()
+        };
+        run_socket_pool(config, behaviors.clone(), options).expect("socket run")
+    };
+    let (serial, parallel) = (run(false).report, run(true).report);
+    assert_eq!(serial.epochs.len(), parallel.epochs.len());
+    for (a, b) in serial.epochs.iter().zip(&parallel.epochs) {
+        assert_eq!(a.report.verdicts, b.report.verdicts, "verdicts");
+        assert_eq!(a.report.accepted, b.report.accepted, "accepted set");
+        assert_eq!(
+            a.report.hierarchy, b.report.hierarchy,
+            "committee accounting"
+        );
+        assert!(b.report.hierarchy.expect("hierarchical epoch").audits > 0);
+        assert_eq!(a.test_accuracy.to_bits(), b.test_accuracy.to_bits());
+    }
+}
+
+#[test]
 fn socket_run_matches_simulated_run_bit_for_bit() {
     let behaviors = vec![
         WorkerBehavior::Honest,

@@ -19,6 +19,7 @@ cargo test -q
 echo "== executor: 8-thread pass (scheduling + determinism under contention)"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test exec_determinism
+RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test hierarchy_parity
 
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
