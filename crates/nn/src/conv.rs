@@ -195,29 +195,20 @@ impl Conv2d {
         Tensor::from_vec(&[n, oc, oh, ow], out)
     }
 
-    /// Backward body shared by the plain and arena entry points; three
-    /// GEMM-shaped products, each arranged to reproduce the original
+    /// Parameter half of the backward pass, shared by every backward entry
+    /// point; two GEMM-shaped products arranged to reproduce the original
     /// tap-by-tap accumulation order bitwise:
     ///
     /// * `db[oci]` accumulates `grad_out` element-by-element in
     ///   `(ni, oy, ox)` order, directly into the persistent gradient;
     /// * `dW += g · colᵀ` per sample (samples ascending), with the
     ///   persistent gradient preloaded as C so cross-call accumulation
-    ///   keeps the original chain;
-    /// * `dx = Wrot · colg` per sample into fresh zeros, where `Wrot` holds
-    ///   the 180°-rotated kernels laid out `[C, OC·K·K]` and `colg` gathers
-    ///   the stride-dilated, padded gradient — for a fixed input cell the
-    ///   original contributions arrive in `(oci ↑, oy ↑, ox ↑)` order,
-    ///   which is exactly ascending rotated-tap order.
+    ///   keeps the original chain.
     ///
     /// Dropping the original `go == 0.0` skip is bitwise-safe: skipped
     /// contributions become `±0.0` adds, and none of these accumulators can
     /// reach `-0.0` (exact cancellation rounds to `+0.0`).
-    fn backward_with(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward before forward on Conv2d");
+    fn param_grads(&mut self, input: &Tensor, grad_out: &Tensor, arena: &mut ScratchArena) {
         let (n, c, h, w) = (
             input.shape().dim(0),
             input.shape().dim(1),
@@ -228,10 +219,9 @@ impl Conv2d {
         let oc = self.out_channels();
         let k = self.kernel;
         assert_eq!(grad_out.shape().dims(), &[n, oc, oh, ow], "grad shape");
-        let (ckk, ohow, hw) = (c * k * k, oh * ow, h * w);
+        let (ckk, ohow) = (c * k * k, oh * ow);
         let x = input.data();
         let g = grad_out.data();
-        let wgt = self.weight.value.data();
         let dw = self.weight.grad.data_mut();
         let db = self.bias.grad.data_mut();
         let threads = gemm::default_threads();
@@ -245,6 +235,48 @@ impl Conv2d {
                 }
             }
         }
+
+        let mut col = arena.take_zeroed(ckk * ohow);
+        for ni in 0..n {
+            let x_s = &x[ni * c * h * w..][..c * h * w];
+            let g_s = &g[ni * oc * ohow..][..oc * ohow];
+            // dW += g_s · colᵀ, preloading the persistent gradient.
+            im2col(x_s, c, h, w, oh, ow, k, self.pad, self.stride, &mut col);
+            gemm::gemm_into(
+                oc,
+                ckk,
+                ohow,
+                g_s,
+                gemm::Trans::No,
+                &col,
+                gemm::Trans::Yes,
+                dw,
+                threads,
+            );
+        }
+        arena.recycle(col);
+    }
+
+    /// Input half of the backward pass: `dx = Wrot · colg` per sample into
+    /// fresh zeros, where `Wrot` holds the 180°-rotated kernels laid out
+    /// `[C, OC·K·K]` and `colg` gathers the stride-dilated, padded
+    /// gradient — for a fixed input cell the original contributions
+    /// arrive in `(oci ↑, oy ↑, ox ↑)` order, which is exactly ascending
+    /// rotated-tap order. `input_dims` is the cached input's `[N, C, H, W]`.
+    fn input_grad(
+        &self,
+        input_dims: &[usize],
+        grad_out: &Tensor,
+        arena: &mut ScratchArena,
+    ) -> Tensor {
+        let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        let oc = self.out_channels();
+        let k = self.kernel;
+        let (ohow, hw) = (oh * ow, h * w);
+        let g = grad_out.data();
+        let wgt = self.weight.value.data();
+        let threads = gemm::default_threads();
 
         // Rotated kernels: wrot[ci][(oci·K + kyr)·K + kxr] = w[oci, ci, K−1−kyr, K−1−kxr].
         let mut wrot = arena.take_zeroed(c * oc * k * k);
@@ -260,26 +292,10 @@ impl Conv2d {
             }
         }
 
-        let mut col = arena.take_zeroed(ckk * ohow);
         let mut colg = arena.take_zeroed(oc * k * k * hw);
         let mut dx = arena.take_zeroed(n * c * hw);
         for ni in 0..n {
-            let x_s = &x[ni * c * hw..][..c * hw];
             let g_s = &g[ni * oc * ohow..][..oc * ohow];
-            // dW += g_s · colᵀ, preloading the persistent gradient.
-            im2col(x_s, c, h, w, oh, ow, k, self.pad, self.stride, &mut col);
-            gemm::gemm_into(
-                oc,
-                ckk,
-                ohow,
-                g_s,
-                gemm::Trans::No,
-                &col,
-                gemm::Trans::Yes,
-                dw,
-                threads,
-            );
-            // dx_s = Wrot · colg into fresh zeros.
             im2col_grad(g_s, oc, oh, ow, h, w, k, self.pad, self.stride, &mut colg);
             let dx_s = &mut dx[ni * c * hw..][..c * hw];
             gemm::gemm_into(
@@ -295,10 +311,23 @@ impl Conv2d {
             );
         }
         arena.recycle(wrot);
-        arena.recycle(col);
         arena.recycle(colg);
-        self.cached_input = Some(input);
         Tensor::from_vec(&[n, c, h, w], dx)
+    }
+
+    /// Full backward body shared by the plain and arena entry points:
+    /// parameter gradients, then the input gradient. The two halves write
+    /// disjoint accumulators, so running them one after the other keeps
+    /// every reduction chain of the interleaved per-sample loop.
+    fn backward_with(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward before forward on Conv2d");
+        self.param_grads(&input, grad_out, arena);
+        let dx = self.input_grad(input.shape().dims(), grad_out, arena);
+        self.cached_input = Some(input);
+        dx
     }
 }
 
@@ -416,6 +445,16 @@ impl Layer for Conv2d {
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         self.backward_with(grad_out, arena)
+    }
+
+    /// Skips the rotated-kernel, `colg` and `dx` GEMMs entirely.
+    fn backward_params(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward before forward on Conv2d");
+        self.param_grads(&input, grad_out, arena);
+        self.cached_input = Some(input);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

@@ -63,7 +63,9 @@ impl Param {
 ///   key per-parameter state by index and RPoL can flatten the model into
 ///   one weight vector for hashing and distance measurement.
 ///
-/// Frozen layers (like RPoL's AMLayer) simply expose no parameters.
+/// Frozen layers (like RPoL's AMLayer) still expose their parameters, with
+/// [`Param::frozen`] set; a leading run of them is never back-propagated
+/// into (see [`Sequential::backward`](crate::model::Sequential::backward)).
 ///
 /// `Send + Sync` are supertraits so models can move between (and be read
 /// from) worker threads in the parallel pool runtime; layers are plain
@@ -94,6 +96,19 @@ pub trait Layer: Send + Sync {
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let _ = arena;
         self.backward(grad_out)
+    }
+
+    /// Back-propagates `grad_out` into this layer's parameter gradients
+    /// only, for a caller that discards `∂L/∂input` — what
+    /// [`Sequential::backward`](crate::model::Sequential::backward) calls
+    /// on the first layer that owns a trainable parameter. The
+    /// accumulated gradients are bitwise those of
+    /// [`Layer::backward_scratch`]; the default runs it and recycles the
+    /// unused input gradient, layers with an expensive input gradient
+    /// override it to skip that work.
+    fn backward_params(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) {
+        let dx = self.backward_scratch(grad_out, arena);
+        arena.recycle(dx.into_vec());
     }
 
     /// Visits all parameters in deterministic order.

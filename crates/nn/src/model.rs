@@ -92,22 +92,35 @@ impl Sequential {
         x
     }
 
-    /// Backward pass through all layers (reverse order), accumulating
-    /// parameter gradients. Returns `∂L/∂input`. Intermediate gradients
-    /// are recycled like forward activations.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Backward pass in reverse layer order, accumulating parameter
+    /// gradients. It stops at the first layer that owns a trainable
+    /// parameter: that layer only accumulates its parameter gradients
+    /// ([`Layer::backward_params`]), and the frozen prefix before it (RPoL's
+    /// AMLayer) is never visited, since its gradients would be zeroed
+    /// unused at [`Sequential::step`]. `∂L/∂input` is therefore never
+    /// computed. Intermediate gradients are recycled like forward
+    /// activations.
+    pub fn backward(&mut self, grad_out: &Tensor) {
         if rpol_obs::global_enabled() {
             rpol_obs::global().counter_add("nn.model.backwards", 1);
         }
-        let mut layers = self.layers.iter_mut().rev();
-        let last = layers.next().expect("model needs at least one layer");
-        let mut g = last.backward_scratch(grad_out, &mut self.arena);
-        for layer in layers {
-            let g_next = layer.backward_scratch(&g, &mut self.arena);
-            self.arena.recycle(g.into_vec());
-            g = g_next;
+        let Some(start) = self.layers.iter().position(|l| is_trainable(l.as_ref())) else {
+            return;
+        };
+        let (first, rest) = self.layers[start..]
+            .split_first_mut()
+            .expect("position is in range");
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            let g_next = layer.backward_scratch(g.as_ref().unwrap_or(grad_out), &mut self.arena);
+            if let Some(done) = g.replace(g_next) {
+                self.arena.recycle(done.into_vec());
+            }
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_out), &mut self.arena);
+        if let Some(done) = g {
+            self.arena.recycle(done.into_vec());
+        }
     }
 
     /// Applies the optimizer to every non-frozen parameter, then zeroes
@@ -201,6 +214,13 @@ impl Sequential {
     pub fn byte_size(&self) -> usize {
         self.param_count() * 4
     }
+}
+
+/// Whether any parameter of `layer` is trainable (not frozen).
+fn is_trainable(layer: &dyn Layer) -> bool {
+    let mut trainable = false;
+    layer.visit_params(&mut |p| trainable |= !p.frozen);
+    trainable
 }
 
 impl std::fmt::Debug for Sequential {

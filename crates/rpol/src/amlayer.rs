@@ -28,6 +28,7 @@ use rpol_crypto::{Address, Prf};
 use rpol_nn::conv::Conv2d;
 use rpol_nn::layer::{Layer, Param};
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -351,28 +352,46 @@ impl std::fmt::Debug for AmLayer {
 
 impl Layer for AmLayer {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for block in &mut self.blocks {
-            let fx = block.forward(&x, train);
-            assert_eq!(
-                fx.shape(),
-                x.shape(),
-                "AMLayer blocks must preserve shape (equal channels, same-size conv)"
-            );
-            x = &fx + &x;
-        }
-        x
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // Chain through the stack in reverse; parameter gradients are
-        // accumulated but never applied (frozen).
-        let mut g = grad_out.clone();
-        for block in self.blocks.iter_mut().rev() {
-            let dconv = block.backward(&g);
-            g = &dconv + &g;
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
+    }
+
+    /// `x ← conv(x) + x` block by block, the residual add done in place in
+    /// the conv's output buffer: `fx + 1.0·x` is bitwise `fx + x`.
+    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        let mut x: Option<Tensor> = None;
+        for block in &mut self.blocks {
+            let prev = x.as_ref().unwrap_or(input);
+            let mut fx = block.forward_scratch(prev, train, arena);
+            assert_eq!(
+                fx.shape(),
+                prev.shape(),
+                "AMLayer blocks must preserve shape (equal channels, same-size conv)"
+            );
+            fx += prev;
+            if let Some(done) = x.replace(fx) {
+                arena.recycle(done.into_vec());
+            }
         }
-        g
+        x.expect("AMLayer has at least one block")
+    }
+
+    /// Chains through the stack in reverse; parameter gradients are
+    /// accumulated but never applied (frozen).
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let mut g: Option<Tensor> = None;
+        for block in self.blocks.iter_mut().rev() {
+            let prev = g.as_ref().unwrap_or(grad_out);
+            let mut dconv = block.backward_scratch(prev, arena);
+            dconv += prev;
+            if let Some(done) = g.replace(dconv) {
+                arena.recycle(done.into_vec());
+            }
+        }
+        g.expect("AMLayer has at least one block")
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

@@ -128,6 +128,10 @@ pub struct NoiseInjector {
     rng: Pcg32,
     /// When set, the injector is a deterministic-hardware baseline.
     zero: bool,
+    /// The kernel-fingerprint direction for the last weight length seen:
+    /// the first `len` normals of the model's fingerprint stream, drawn
+    /// once and reused by every step at that length.
+    fingerprint: Vec<f32>,
 }
 
 impl NoiseInjector {
@@ -137,6 +141,7 @@ impl NoiseInjector {
             model,
             rng: Pcg32::seed_from(run_seed ^ 0x6E01_5E00),
             zero: false,
+            fingerprint: Vec::new(),
         }
     }
 
@@ -174,12 +179,20 @@ impl NoiseInjector {
             return;
         }
         let sigma = self.model.noise_rel_sigma() * update_norm / (weights.len() as f32).sqrt();
-        // The fingerprint direction is a pure function of the GPU model.
-        let mut fingerprint = Pcg32::seed_from(0xF17E_0000 ^ self.model.fp32_tflops().to_bits());
-        for w in weights.iter_mut() {
-            *w += self.rng.normal(0.0, sigma) + sigma * fingerprint.next_normal();
+        if self.fingerprint.len() != weights.len() {
+            self.fingerprint = fingerprint_direction(self.model, weights.len());
+        }
+        for (w, &drift) in weights.iter_mut().zip(&self.fingerprint) {
+            *w += self.rng.normal(0.0, sigma) + sigma * drift;
         }
     }
+}
+
+/// The kernel-fingerprint direction of `model` for `len` weights — a pure
+/// function of the GPU model (and the prefix length).
+fn fingerprint_direction(model: GpuModel, len: usize) -> Vec<f32> {
+    let mut stream = Pcg32::seed_from(0xF17E_0000 ^ model.fp32_tflops().to_bits());
+    (0..len).map(|_| stream.next_normal()).collect()
 }
 
 #[cfg(test)]
@@ -295,6 +308,44 @@ mod tests {
         let mut w = vec![1.0f32; 10];
         inj.perturb_after_step(&mut w, 5.0);
         assert_eq!(w, vec![1.0f32; 10]);
+    }
+
+    /// Reference formula: the fingerprint stream re-seeded every step.
+    fn reference_perturb(model: GpuModel, rng: &mut Pcg32, weights: &mut [f32], norm: f32) {
+        let sigma = model.noise_rel_sigma() * norm / (weights.len() as f32).sqrt();
+        let mut fingerprint = Pcg32::seed_from(0xF17E_0000 ^ model.fp32_tflops().to_bits());
+        for w in weights.iter_mut() {
+            *w += rng.normal(0.0, sigma) + sigma * fingerprint.next_normal();
+        }
+    }
+
+    #[test]
+    fn memoized_fingerprint_matches_per_step_reseed() {
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for model in GpuModel::ALL {
+            let seed = 31;
+            let mut inj = NoiseInjector::new(model, seed);
+            let mut rng = Pcg32::seed_from(seed ^ 0x6E01_5E00);
+            // Six steps at one length, then a shrink and a regrowth: the
+            // memo must follow every length change.
+            for (step, len) in [300, 300, 300, 300, 300, 300, 120, 120, 513, 513]
+                .into_iter()
+                .enumerate()
+            {
+                let norm = 0.25 + step as f32;
+                let mut got: Vec<f32> = (0..len).map(|i| i as f32 * 0.01).collect();
+                let mut want = got.clone();
+                inj.perturb_after_step(&mut got, norm);
+                reference_perturb(model, &mut rng, &mut want, norm);
+                assert_eq!(bits(&got), bits(&want), "{model} step {step} len {len}");
+            }
+        }
+        let mut silent = NoiseInjector::noiseless(GpuModel::G3090);
+        let mut w = vec![1.0f32; 64];
+        for _ in 0..5 {
+            silent.perturb_after_step(&mut w, 3.0);
+        }
+        assert_eq!(w, vec![1.0f32; 64]);
     }
 
     #[test]

@@ -16,6 +16,9 @@ echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q
 
+echo "== nn + sim crates (tier-1 runs only the root package)"
+cargo test -q -p rpol-nn -p rpol-sim
+
 echo "== executor: 8-thread pass (scheduling + determinism under contention)"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-exec
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test exec_determinism
