@@ -15,8 +15,11 @@ use rpol_crypto::sha256::{sha256, sha256_f32};
 use rpol_crypto::{Address, MerkleTree};
 use rpol_lsh::{LshFamily, LshParams};
 use rpol_nn::data::SyntheticImages;
+use rpol_nn::prelude::{Conv2d, Layer};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 use rpol_tensor::rng::Pcg32;
+use rpol_tensor::scratch::ScratchArena;
+use rpol_tensor::Tensor;
 use std::hint::black_box;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -106,6 +109,31 @@ fn bench_training_and_replay(c: &mut Criterion) {
     });
 }
 
+/// The three task-A convolution shapes (3→3, 3→8, 8→8 channels; 3×3,
+/// pad 1; batch 16 of 8×8), forward and full backward, on a reused arena
+/// as inside `Sequential`.
+fn bench_conv(c: &mut Criterion) {
+    let mut rng = Pcg32::seed_from(3);
+    for (cin, cout) in [(3, 3), (3, 8), (8, 8)] {
+        let mut conv = Conv2d::new(cin, cout, 3, 1, &mut rng);
+        let x = Tensor::randn(&[16, cin, 8, 8], &mut rng);
+        let mut arena = ScratchArena::new();
+        c.bench_function(&format!("conv_forward_{cin}to{cout}_b16_8x8"), |b| {
+            b.iter(|| {
+                let y = conv.forward_scratch(black_box(&x), true, &mut arena);
+                arena.recycle(y.into_vec());
+            })
+        });
+        let y = conv.forward_scratch(&x, true, &mut arena);
+        c.bench_function(&format!("conv_backward_{cin}to{cout}_b16_8x8"), |b| {
+            b.iter(|| {
+                let dx = conv.backward_scratch(black_box(&y), &mut arena);
+                arena.recycle(dx.into_vec());
+            })
+        });
+    }
+}
+
 fn bench_wire(c: &mut Criterion) {
     let weights = vec![0.5f32; 10_000];
     let checkpoints: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32; 10_000]).collect();
@@ -149,6 +177,7 @@ criterion_group!(
     bench_amlayer,
     bench_commitments,
     bench_training_and_replay,
+    bench_conv,
     bench_wire,
     bench_tuning,
     bench_json

@@ -1,6 +1,6 @@
 //! Elementwise activation layers.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{cache_in_arena, Layer, Param};
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
@@ -40,23 +40,16 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        input.map(|x| x.max(0.0))
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward before forward on Relu");
-        input.zip(grad_out, |x, g| if x > 0.0 { g } else { 0.0 })
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         if train {
-            self.cached_input = Some(input.clone());
+            cache_in_arena(&mut self.cached_input, input, arena);
         }
         map_into_arena(input, arena, |x| x.max(0.0))
     }
@@ -90,25 +83,17 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = input.map(|x| x.tanh());
-        if train {
-            self.cached_output = Some(out.clone());
-        }
-        out
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward before forward on Tanh");
-        out.zip(grad_out, |y, g| (1.0 - y * y) * g)
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
     }
 
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         let out = map_into_arena(input, arena, |x| x.tanh());
         if train {
-            self.cached_output = Some(out.clone());
+            cache_in_arena(&mut self.cached_output, &out, arena);
         }
         out
     }

@@ -1,9 +1,10 @@
 //! 2-D convolution.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{cache_in_arena, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::{gemm, Tensor};
+use std::ops::Range;
 
 /// A 2-D convolution with square kernels, symmetric zero padding and a
 /// configurable stride. The paper's AMLayer and residual blocks use
@@ -160,7 +161,7 @@ impl Conv2d {
             "input smaller than kernel"
         );
         if train {
-            self.cached_input = Some(input.clone());
+            cache_in_arena(&mut self.cached_input, input, arena);
         }
         let (oh, ow) = self.out_hw(h, w);
         let oc = self.out_channels();
@@ -331,8 +332,19 @@ impl Conv2d {
     }
 }
 
+/// The output positions `o` along one axis whose tap `o·stride + off − pad`
+/// lands inside `0..extent`, i.e. `⌈(pad − off)⁺ / stride⌉ ..
+/// min(out, ⌈(extent + pad − off)⁺ / stride⌉)` (empty when no tap is valid).
+fn valid_span(off: usize, pad: usize, extent: usize, stride: usize, out: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(off).div_ceil(stride);
+    let hi = out.min((extent + pad).saturating_sub(off).div_ceil(stride));
+    lo..hi.max(lo)
+}
+
 /// Gathers the receptive fields of one `[C, H, W]` sample into
-/// `col[(ci·K + ky)·K + kx][oy·OW + ox]`. Only in-bounds taps are written;
+/// `col[(ci·K + ky)·K + kx][oy·OW + ox]`. Per kernel tap the in-bounds
+/// output span is computed once and copied row by row (a slice copy at
+/// stride 1, a strided loop otherwise). Only in-bounds taps are written;
 /// the caller provides a zeroed buffer and the valid-tap set depends only
 /// on geometry, so the buffer can be reused across samples.
 #[allow(clippy::too_many_arguments)]
@@ -350,22 +362,25 @@ fn im2col(
 ) {
     let ohow = oh * ow;
     for ci in 0..c {
+        let x_c = &x[ci * h * w..][..h * w];
         for ky in 0..k {
+            let oys = valid_span(ky, pad, h, stride, oh);
             for kx in 0..k {
+                let oxs = valid_span(kx, pad, w, stride, ow);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * stride + kx - pad;
                 let row = &mut col[((ci * k + ky) * k + kx) * ohow..][..ohow];
-                for oy in 0..oh {
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy >= h + pad {
-                        continue;
-                    }
-                    let xrow = (ci * h + (iy - pad)) * w;
-                    let dst = &mut row[oy * ow..][..ow];
-                    for (ox, d) in dst.iter_mut().enumerate() {
-                        let ix = ox * stride + kx;
-                        if ix < pad || ix >= w + pad {
-                            continue;
+                for oy in oys.clone() {
+                    let src = &x_c[(oy * stride + ky - pad) * w + ix0..];
+                    let dst = &mut row[oy * ow + oxs.start..oy * ow + oxs.end];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
-                        *d = x[xrow + ix - pad];
                     }
                 }
             }
@@ -377,9 +392,11 @@ fn im2col(
 /// stride-dilated, padded form `colg[(oci·K + kyr)·K + kxr][iy·W + ix]`
 /// used by the input-gradient GEMM: entry `(p', r)` holds
 /// `g[oci, oy, ox]` when the rotated tap `(K−1−kyr, K−1−kxr)` at input
-/// cell `(iy, ix)` maps onto a valid output cell, else stays zero. Valid
-/// positions depend only on geometry, so the caller's zeroed buffer can be
-/// reused across samples.
+/// cell `(iy, ix)` maps onto a valid output cell, else stays zero. It walks
+/// the valid output cells of each tap — the same spans as [`im2col`] —
+/// and writes each to input cell `(oy·S + ky − pad, ox·S + kx − pad)`.
+/// Valid positions depend only on geometry, so the caller's zeroed buffer
+/// can be reused across samples.
 #[allow(clippy::too_many_arguments)]
 fn im2col_grad(
     g: &[f32],
@@ -395,32 +412,27 @@ fn im2col_grad(
 ) {
     let hw = h * w;
     for oci in 0..oc {
+        let g_c = &g[oci * oh * ow..][..oh * ow];
         for kyr in 0..k {
             let ky = k - 1 - kyr;
+            let oys = valid_span(ky, pad, h, stride, oh);
             for kxr in 0..k {
                 let kx = k - 1 - kxr;
+                let oxs = valid_span(kx, pad, w, stride, ow);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * stride + kx - pad;
                 let row = &mut colg[((oci * k + kyr) * k + kxr) * hw..][..hw];
-                for iy in 0..h {
-                    let t = iy + pad;
-                    if t < ky || !(t - ky).is_multiple_of(stride) {
-                        continue;
-                    }
-                    let oy = (t - ky) / stride;
-                    if oy >= oh {
-                        continue;
-                    }
-                    let grow = (oci * oh + oy) * ow;
-                    let dst = &mut row[iy * w..][..w];
-                    for (ix, d) in dst.iter_mut().enumerate() {
-                        let u = ix + pad;
-                        if u < kx || !(u - kx).is_multiple_of(stride) {
-                            continue;
+                for oy in oys.clone() {
+                    let src = &g_c[oy * ow + oxs.start..oy * ow + oxs.end];
+                    let dst = &mut row[(oy * stride + ky - pad) * w + ix0..];
+                    if stride == 1 {
+                        dst[..src.len()].copy_from_slice(src);
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                            *d = v;
                         }
-                        let ox = (u - kx) / stride;
-                        if ox >= ow {
-                            continue;
-                        }
-                        *d = g[grow + ox];
                     }
                 }
             }

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{cache_in_arena, Layer, Param};
 use rpol_tensor::rng::Pcg32;
 use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::{gemm, Tensor};
@@ -81,44 +81,6 @@ impl Dense {
 }
 
 impl Dense {
-    /// Forward body shared by the plain and arena entry points: the output
-    /// buffer starts zeroed, `y = x · Wᵀ` accumulates into it via the
-    /// fused-transpose kernel, and the bias is added afterwards — the same
-    /// per-element chain `(Σ_p x·w) + b` as the original implementation.
-    fn forward_into(&mut self, input: &Tensor, train: bool, y: Vec<f32>) -> Tensor {
-        assert_eq!(input.shape().rank(), 2, "dense expects [N, in]");
-        assert_eq!(
-            input.shape().dim(1),
-            self.in_features(),
-            "dense input width mismatch"
-        );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        let n = input.shape().dim(0);
-        let out = self.out_features();
-        let mut y = y;
-        debug_assert_eq!(y.len(), n * out);
-        gemm::gemm_into(
-            n,
-            out,
-            self.in_features(),
-            input.data(),
-            gemm::Trans::No,
-            self.weight.value.data(),
-            gemm::Trans::Yes,
-            &mut y,
-            gemm::default_threads(),
-        );
-        let bias = self.bias.value.data();
-        for row in y.chunks_exact_mut(out) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        Tensor::from_vec(&[n, out], y)
-    }
-
     /// Parameter half of the backward pass, shared by every backward entry
     /// point. `dw` is a zeroed buffer for the weight-gradient temporary,
     /// returned for recycling.
@@ -183,19 +145,47 @@ impl Dense {
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let y = vec![0.0f32; input.shape().dim(0) * self.out_features()];
-        self.forward_into(input, train, y)
+        self.forward_scratch(input, train, &mut ScratchArena::new())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.param_grads(grad_out, vec![0.0f32; self.weight.value.len()]);
-        let dx = vec![0.0f32; grad_out.shape().dim(0) * self.in_features()];
-        self.input_grad(grad_out, dx)
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
     }
 
+    /// The output buffer starts zeroed, `y = x · Wᵀ` accumulates into it via
+    /// the fused-transpose kernel, and the bias is added afterwards — the
+    /// same per-element chain `(Σ_p x·w) + b` as the original implementation.
     fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
-        let y = arena.take_zeroed(input.shape().dim(0) * self.out_features());
-        self.forward_into(input, train, y)
+        assert_eq!(input.shape().rank(), 2, "dense expects [N, in]");
+        assert_eq!(
+            input.shape().dim(1),
+            self.in_features(),
+            "dense input width mismatch"
+        );
+        if train {
+            cache_in_arena(&mut self.cached_input, input, arena);
+        }
+        let n = input.shape().dim(0);
+        let out = self.out_features();
+        let mut y = arena.take_zeroed(n * out);
+        gemm::gemm_into(
+            n,
+            out,
+            self.in_features(),
+            input.data(),
+            gemm::Trans::No,
+            self.weight.value.data(),
+            gemm::Trans::Yes,
+            &mut y,
+            gemm::default_threads(),
+        );
+        let bias = self.bias.value.data();
+        for row in y.chunks_exact_mut(out) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        Tensor::from_vec(&[n, out], y)
     }
 
     fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {

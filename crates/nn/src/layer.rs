@@ -50,6 +50,23 @@ impl Param {
     }
 }
 
+/// Copies `src` into a buffer drawn from `arena`, shaped `dims`.
+pub(crate) fn copy_into_arena(src: &[f32], dims: &[usize], arena: &mut ScratchArena) -> Tensor {
+    let mut buf = arena.take_empty(src.len());
+    buf.extend_from_slice(src);
+    Tensor::from_vec(dims, buf)
+}
+
+/// Caches a copy of `input` in `slot` for the backward pass, recycling the
+/// tensor it replaces first: in steady state the copy lands in the
+/// previous step's buffer, so caching allocates nothing.
+pub(crate) fn cache_in_arena(slot: &mut Option<Tensor>, input: &Tensor, arena: &mut ScratchArena) {
+    if let Some(old) = slot.take() {
+        arena.recycle(old.into_vec());
+    }
+    *slot = Some(copy_into_arena(input.data(), input.shape().dims(), arena));
+}
+
 /// A neural-network layer with explicit gradients.
 ///
 /// The contract mirrors classic define-by-hand frameworks:
@@ -154,6 +171,14 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_scratch(input, train, &mut ScratchArena::new())
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
+    }
+
+    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         let dims = input.shape().dims();
         assert!(dims.len() >= 2, "flatten expects a batch dimension");
         let n = dims[0];
@@ -161,15 +186,15 @@ impl Layer for Flatten {
         if train {
             self.input_dims = Some(dims.to_vec());
         }
-        input.reshape(&[n, features])
+        copy_into_arena(input.data(), &[n, features], arena)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()
             .expect("backward before forward on Flatten");
-        grad_out.reshape(dims)
+        copy_into_arena(grad_out.data(), dims, arena)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}

@@ -76,7 +76,9 @@ impl Sequential {
 
     /// Forward pass through all layers. Intermediate activations are
     /// recycled through the model's scratch arena, so steady-state passes
-    /// reuse the same buffers instead of allocating per layer.
+    /// reuse the same buffers instead of allocating per layer. The output
+    /// leaves the model, so it is copied into its own exact-size buffer and
+    /// the arena keeps the (possibly much larger) buffer it was drawn from.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if rpol_obs::global_enabled() {
             rpol_obs::global().counter_add("nn.model.forwards", 1);
@@ -89,7 +91,9 @@ impl Sequential {
             self.arena.recycle(x.into_vec());
             x = y;
         }
-        x
+        let out = Tensor::from_vec(x.shape().dims(), x.data().to_vec());
+        self.arena.recycle(x.into_vec());
+        out
     }
 
     /// Backward pass in reverse layer order, accumulating parameter

@@ -1,6 +1,7 @@
 //! Pooling layers.
 
 use crate::layer::{Layer, Param};
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 /// 2×2 average pooling with stride 2.
@@ -20,6 +21,14 @@ impl AvgPool2 {
 
 impl Layer for AvgPool2 {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_scratch(input, train, &mut ScratchArena::new())
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
+    }
+
+    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
         assert_eq!(input.shape().rank(), 4, "pool expects [N, C, H, W]");
         let (n, c, h, w) = (
             input.shape().dim(0),
@@ -33,7 +42,7 @@ impl Layer for AvgPool2 {
         }
         let (oh, ow) = (h / 2, w / 2);
         let x = input.data();
-        let mut out = vec![0.0f32; n * c * oh * ow];
+        let mut out = arena.take_zeroed(n * c * oh * ow);
         for nc in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -49,7 +58,7 @@ impl Layer for AvgPool2 {
         Tensor::from_vec(&[n, c, oh, ow], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()
@@ -57,7 +66,7 @@ impl Layer for AvgPool2 {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let (oh, ow) = (h / 2, w / 2);
         let g = grad_out.data();
-        let mut dx = vec![0.0f32; n * c * h * w];
+        let mut dx = arena.take_zeroed(n * c * h * w);
         for nc in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {

@@ -6,6 +6,7 @@
 //! mapping (Behrmann et al., "Invertible residual networks").
 
 use crate::layer::{Layer, Param};
+use rpol_tensor::scratch::ScratchArena;
 use rpol_tensor::Tensor;
 
 /// A residual block wrapping an inner layer: `y = x + inner(x)`.
@@ -52,18 +53,30 @@ impl std::fmt::Debug for Residual {
 
 impl Layer for Residual {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let fx = self.inner.forward(input, train);
+        self.forward_scratch(input, train, &mut ScratchArena::new())
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_scratch(grad_out, &mut ScratchArena::new())
+    }
+
+    /// The skip add runs in place in the inner layer's output buffer:
+    /// `fx += x` is bitwise `fx + x`.
+    fn forward_scratch(&mut self, input: &Tensor, train: bool, arena: &mut ScratchArena) -> Tensor {
+        let mut fx = self.inner.forward_scratch(input, train, arena);
         assert_eq!(
             fx.shape(),
             input.shape(),
             "residual inner layer must preserve shape"
         );
-        &fx + input
+        fx += input;
+        fx
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dinner = self.inner.backward(grad_out);
-        &dinner + grad_out
+    fn backward_scratch(&mut self, grad_out: &Tensor, arena: &mut ScratchArena) -> Tensor {
+        let mut dinner = self.inner.backward_scratch(grad_out, arena);
+        dinner += grad_out;
+        dinner
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {

@@ -25,6 +25,7 @@
 //! Rust never contracts `a * b + c` into an FMA without explicit opt-in,
 //! so mul-then-add rounding matches the reference kernel exactly.
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -170,6 +171,14 @@ pub fn gemm_into(
     });
 }
 
+thread_local! {
+    /// Per-thread packed A and B panels, kept between calls so steady-state
+    /// GEMMs allocate nothing. [`pack_a`]/[`pack_b`] clear and zero-resize
+    /// them on every use, so no lane survives from an earlier call, and
+    /// [`gemm_rows`] never re-enters the executor, so the borrow cannot nest.
+    static PACK_BUFS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
 /// Blocked driver for the C rows `rows`; `c` holds exactly those rows.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows(
@@ -186,36 +195,36 @@ fn gemm_rows(
 ) {
     let row0 = rows.start;
     let m = rows.len();
-    let mut packed_a = Vec::new();
-    let mut packed_b = Vec::new();
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        // K blocks ascend so each C element accumulates its chain in order.
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            pack_b(b, ldb, tb, pc, kc, jc, nc, &mut packed_b);
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                pack_a(a, lda, ta, row0 + ic, mc, pc, kc, &mut packed_a);
-                for pj in 0..nc.div_ceil(NR) {
-                    let jr = jc + pj * NR;
-                    let nr = NR.min(jc + nc - jr);
-                    let pb = &packed_b[pj * kc * NR..][..kc * NR];
-                    for pi in 0..mc.div_ceil(MR) {
-                        let ir = ic + pi * MR;
-                        let mr = MR.min(ic + mc - ir);
-                        let pa = &packed_a[pi * kc * MR..][..kc * MR];
-                        let c_tile = &mut c[ir * n + jr..];
-                        if mr == MR && nr == NR {
-                            microkernel(kc, pa, pb, c_tile, n);
-                        } else {
-                            microkernel_edge(kc, pa, pb, c_tile, n, mr, nr);
+    PACK_BUFS.with_borrow_mut(|(packed_a, packed_b)| {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            // K blocks ascend so each C element accumulates its chain in order.
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack_b(b, ldb, tb, pc, kc, jc, nc, packed_b);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    pack_a(a, lda, ta, row0 + ic, mc, pc, kc, packed_a);
+                    for pj in 0..nc.div_ceil(NR) {
+                        let jr = jc + pj * NR;
+                        let nr = NR.min(jc + nc - jr);
+                        let pb = &packed_b[pj * kc * NR..][..kc * NR];
+                        for pi in 0..mc.div_ceil(MR) {
+                            let ir = ic + pi * MR;
+                            let mr = MR.min(ic + mc - ir);
+                            let pa = &packed_a[pi * kc * MR..][..kc * MR];
+                            let c_tile = &mut c[ir * n + jr..];
+                            if mr == MR && nr == NR {
+                                microkernel(kc, pa, pb, c_tile, n);
+                            } else {
+                                microkernel_edge(kc, pa, pb, c_tile, n, mr, nr);
+                            }
                         }
                     }
                 }
             }
         }
-    }
+    });
 }
 
 /// Packs an `mc × kc` block of A into `⌈mc/MR⌉` panels laid out
