@@ -166,11 +166,12 @@ pub fn print_command_help(command: &str) {
     let text = match command {
         "pool" => {
             "rpol pool — run a mining pool\n\
-             --scheme=baseline|v1|v2   verification scheme (default v2)\n\
+             --scheme=baseline|v1|v2|v3  verification scheme (default v2)\n\
              --workers=N               pool size (default 6)\n\
              --adversaries=N           cheating workers among them (default 2)\n\
              --epochs=N                epochs to run (default 4)\n\
-             --parallel                train workers on threads\n\
+             --parallel                run epochs on the persistent executor,\n\
+             \x20                          overlapping training and verification\n\
              --committees=C            shard verification into C committees\n\
              \x20                          (two-tier hierarchy, DESIGN.md §15)\n\
              --committee-audit=Q       top-tier spot-audits per committee\n\

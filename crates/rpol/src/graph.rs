@@ -179,25 +179,14 @@ impl EpochGraph<'_> {
     /// Trains worker `w` of group `g`, then fans its sampled checkpoints
     /// out as verification tasks right away.
     fn train<'s>(&'s self, s: &'s Scope<'s, '_>, g: usize, w: usize) {
-        let (plan, manager) = (self.plan, self.manager);
+        let (plan, manager, epoch) = (self.plan, self.manager, self.plan.epoch);
         let mut worker = self.slots[w].write().worker.take().expect("worker present");
-        let (epoch, steps) = (plan.epoch, plan.steps);
-        let train_span = span!(
+        let submission = worker.train_planned(
             self.recorder,
-            "rpol.worker.train_epoch",
-            epoch,
-            worker = w,
-            steps
-        );
-        let submission = worker.run_epoch(
             manager.config(),
             manager.global_weights(),
-            plan.nonces[w],
-            steps,
-            epoch,
-            plan.commit_mode(),
+            plan,
         );
-        drop(train_span);
         self.upload_bytes.fetch_add(submission.upload_bytes, SeqCst);
         let samples = {
             let mut slot = self.slots[w].write();

@@ -50,6 +50,7 @@ pub mod decentralized;
 pub mod economics;
 mod graph;
 pub mod judge;
+mod link;
 pub mod manager;
 pub mod mining;
 pub(crate) mod poll;

@@ -382,27 +382,9 @@ impl PoolManager {
     pub fn run_epoch(&mut self, workers: &mut [PoolWorker], epoch: u64) -> EpochReport {
         assert!(!workers.is_empty(), "pool has no workers");
         let plan = self.begin_epoch(workers.len(), epoch);
-        let recorder = self.recorder.clone();
         let submissions: Vec<_> = workers
             .iter_mut()
-            .enumerate()
-            .map(|(w, worker)| {
-                let _g = span!(
-                    recorder,
-                    "rpol.worker.train_epoch",
-                    epoch,
-                    worker = w,
-                    steps = plan.steps
-                );
-                worker.run_epoch(
-                    &self.config,
-                    &self.global,
-                    plan.nonces[w],
-                    plan.steps,
-                    epoch,
-                    plan.commit_mode(),
-                )
-            })
+            .map(|worker| worker.train_planned(&self.recorder, &self.config, &self.global, &plan))
             .collect();
         self.finish_epoch(workers, &plan, &submissions)
     }
@@ -452,7 +434,8 @@ impl PoolManager {
 
     /// Phase 2 of an epoch: reveal sampling decisions, verify every
     /// submission, aggregate the accepted updates (Eq. 1) and credit
-    /// contributions.
+    /// contributions. Every worker participates; openings are served
+    /// locally and never fail.
     ///
     /// # Panics
     ///
@@ -462,32 +445,6 @@ impl PoolManager {
         workers: &[PoolWorker],
         plan: &EpochPlan,
         submissions: &[crate::worker::EpochSubmission],
-    ) -> EpochReport {
-        self.finish_epoch_workers(workers, plan, submissions, false)
-    }
-
-    /// Like [`PoolManager::finish_epoch`], but verifies workers on
-    /// parallel threads (the paper's future-work "decentralized
-    /// verification" runs the same fan-out across worker nodes). Sampling
-    /// decisions and noise seeds are drawn serially first, so the result
-    /// is identical to the serial path.
-    pub fn finish_epoch_parallel(
-        &mut self,
-        workers: &[PoolWorker],
-        plan: &EpochPlan,
-        submissions: &[crate::worker::EpochSubmission],
-    ) -> EpochReport {
-        self.finish_epoch_workers(workers, plan, submissions, true)
-    }
-
-    /// Shared delegate for the in-process (fault-free) epoch finish: every
-    /// worker participates, openings are served locally and never fail.
-    fn finish_epoch_workers(
-        &mut self,
-        workers: &[PoolWorker],
-        plan: &EpochPlan,
-        submissions: &[crate::worker::EpochSubmission],
-        parallel: bool,
     ) -> EpochReport {
         let n = workers.len();
         assert_eq!(submissions.len(), n, "one submission per worker");
@@ -509,7 +466,7 @@ impl PoolManager {
         for sub in submissions {
             comm.submission_bytes += sub.upload_bytes;
         }
-        self.finish_epoch_partial(plan, n, &participants, &[], comm, parallel)
+        self.finish_epoch_partial(plan, n, &participants, &[], comm, false)
     }
 
     /// Phase 2 of an epoch under possible transport faults: verify the

@@ -4,12 +4,13 @@
 
 use crate::adversary::WorkerBehavior;
 use crate::committee::{partition, Hierarchy};
-use crate::manager::{CommStats, EpochReport, Participant, PoolManager};
+use crate::link::{run_wire_epoch, Link, Upload};
+use crate::manager::{CommStats, EpochPlan, EpochReport, Participant, PoolManager};
 use crate::tasks::TaskConfig;
 use crate::transport::{link_state, FaultConfig, LinkState, MsgKind, Transport, TransportStats};
-use crate::verify::{ProofProvider, ProofUnavailable};
+use crate::verify::ProofProvider as _;
 use crate::wire;
-use crate::worker::{CommitMode, EpochSubmission, PoolWorker};
+use crate::worker::{EpochSubmission, PoolWorker};
 use rpol_crypto::Address;
 use rpol_exec::Executor;
 use rpol_nn::data::SyntheticImages;
@@ -20,24 +21,12 @@ use rpol_sim::gpu::GpuModel;
 use rpol_sim::SimClock;
 use rpol_tensor::rng::Pcg32;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Fixed evaluation chunk (rows per forward pass). Serial and parallel
 /// evaluation run the same chunk shapes and merge integer correct-counts
 /// in index order, so their reported accuracy is bitwise identical.
 const EVAL_CHUNK: usize = 16;
-
-/// Which runtime drives a multi-epoch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    /// Single-threaded reference path; never constructs an executor.
-    Serial,
-    /// Per-epoch crossbeam scoped threads (pre-executor baseline).
-    Scoped,
-    /// Persistent executor with train/verify phase overlap.
-    Overlapped,
-}
 
 /// Which verification scheme the pool runs (§VII-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -253,120 +242,93 @@ impl PoolReport {
     }
 }
 
-/// Per-provider mutable state: the RPC sequence counter plus the stats
-/// and clock this worker's proof traffic accumulates. Kept behind a mutex
-/// so a provider can be shared with the parallel verification fan-out;
-/// the counters are merged back into the epoch totals in worker-id order,
-/// so scheduling never shows in the report.
-struct ProviderState {
-    seq: u64,
-    stats: TransportStats,
-    clock: SimClock,
-}
-
-/// A [`ProofProvider`] that reaches its worker through the lossy
-/// transport: each opening is a proof-request / proof-response RPC whose
-/// legs can drop, corrupt, truncate, or time out. Exhausted retries
-/// surface as [`ProofUnavailable`] and quarantine the worker.
-struct TransportProvider<'a> {
-    transport: &'a Transport,
-    worker: &'a PoolWorker,
-    epoch: u64,
-    rec: &'a Recorder,
+/// The in-process seeded-chaos [`Link`]: workers live in this process
+/// and train here — serially, or on the pool's persistent executor. Each
+/// leg's link state follows the worker's behaviour ([`link_state`]), so
+/// crashes and stragglers play out in the chaos draws.
+struct SimLink {
+    transport: Transport,
+    rec: Arc<Recorder>,
+    config: TaskConfig,
     /// RPoLv3: openings ride the packed (bf16 lattice) framing.
     packed: bool,
-    link_request: LinkState,
-    link_response: LinkState,
-    state: parking_lot::Mutex<ProviderState>,
+    /// Trains on the persistent executor when set, else serially.
+    exec: Option<Arc<Executor>>,
 }
 
-impl<'a> TransportProvider<'a> {
-    fn new(
-        transport: &'a Transport,
-        worker: &'a PoolWorker,
-        epoch: u64,
-        rec: &'a Recorder,
-        packed: bool,
-    ) -> Self {
-        Self {
-            transport,
-            worker,
-            epoch,
-            rec,
-            packed,
-            link_request: link_state(&worker.behavior(), epoch, MsgKind::ProofRequest),
-            link_response: link_state(&worker.behavior(), epoch, MsgKind::ProofResponse),
-            state: parking_lot::Mutex::new(ProviderState {
-                seq: 0,
-                stats: TransportStats::default(),
-                clock: SimClock::new(),
-            }),
-        }
+impl Link for SimLink {
+    fn transport(&self) -> &Transport {
+        &self.transport
     }
-}
 
-impl ProofProvider for TransportProvider<'_> {
-    fn open_checkpoint(&self, index: usize) -> Result<Cow<'_, [f32]>, ProofUnavailable> {
-        let unavailable = ProofUnavailable { index };
-        let mut guard = self.state.lock();
-        let seq = guard.seq;
-        guard.seq += 1;
-        let ProviderState { stats, clock, .. } = &mut *guard;
+    fn link_state(&self, worker: &PoolWorker, epoch: u64, kind: MsgKind) -> LinkState {
+        link_state(&worker.behavior(), epoch, kind)
+    }
 
-        // Request leg: manager → worker.
-        let request = wire::encode_proof_request(&[index]);
-        let delivered = self
-            .transport
-            .exchange(
-                self.epoch,
-                self.worker.id,
-                MsgKind::ProofRequest,
-                seq,
-                &request,
-                self.link_request,
-                stats,
-                clock,
-                self.rec,
-            )
-            .map_err(|_| unavailable)?;
-        let samples = wire::decode_proof_request(delivered).map_err(|_| unavailable)?;
-        let &sample = samples.first().ok_or(unavailable)?;
-
-        // The worker opens from local storage (infallible in-process).
-        let weights = self
-            .worker
-            .open_checkpoint(sample)
-            .map_err(|_| unavailable)?;
-
-        // Response leg: worker → manager.
-        let response = if self.packed {
-            wire::encode_proof_response_packed(sample, &weights)
-        } else {
-            wire::encode_proof_response(sample, &weights)
+    fn train(
+        &mut self,
+        plan: &EpochPlan,
+        global: &[f32],
+        workers: &mut [PoolWorker],
+        tasked: &[bool],
+    ) -> Vec<Option<Upload>> {
+        // A delivered task is byte-identical to the one sent (frames are
+        // checksummed), so workers train from the plan directly. Workers
+        // that will not be able to submit (crashed this epoch) skip the
+        // doomed compute.
+        let mut uploads: Vec<Option<Upload>> = (0..workers.len()).map(|_| None).collect();
+        let jobs = workers.iter_mut().enumerate().filter(|(w, worker)| {
+            tasked[*w] && link_state(&worker.behavior(), plan.epoch, MsgKind::Submission).alive
+        });
+        let (rec, config) = (&*self.rec, &self.config);
+        let upload = |worker: &mut PoolWorker| {
+            let sub = worker.train_planned(rec, config, global, plan);
+            let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
+            Some(Upload::Payload(None, payload))
         };
-        stats.bytes_saved += (wire::proof_response_raw_wire_size(weights.len()) as u64)
-            .saturating_sub(response.len() as u64);
-        let delivered = self
-            .transport
-            .exchange(
-                self.epoch,
-                self.worker.id,
-                MsgKind::ProofResponse,
-                seq,
-                &response,
-                self.link_response,
-                stats,
-                clock,
-                self.rec,
-            )
-            .map_err(|_| unavailable)?;
-        let (got_index, got_weights) =
-            wire::decode_proof_response(delivered).map_err(|_| unavailable)?;
-        if got_index != index {
-            return Err(unavailable);
+        match &self.exec {
+            None => jobs.for_each(|(w, worker)| uploads[w] = upload(worker)),
+            Some(exec) => {
+                let slots = parking_lot::Mutex::new(&mut uploads);
+                exec.scope(|s| {
+                    for (w, worker) in jobs {
+                        let (slots, upload) = (&slots, &upload);
+                        s.spawn(move || {
+                            let sent = upload(worker);
+                            slots.lock()[w] = sent;
+                        });
+                    }
+                });
+            }
         }
-        // Decoded off the wire: necessarily an owned buffer.
-        Ok(Cow::Owned(got_weights))
+        uploads
+    }
+
+    fn deadline_miss(
+        &self,
+        epoch: u64,
+        w: usize,
+        stats: &mut TransportStats,
+        clock: &mut SimClock,
+    ) {
+        // The worker fell silent: the manager waits out one commitment
+        // deadline, then quarantines it.
+        let timeout_s = self.transport.policy().timeout_s;
+        stats.timeouts += 1;
+        clock.add(MsgKind::Submission.label(), timeout_s);
+        clock.tick("deadline_miss");
+        event!(self.rec, "rpol.pool.deadline_miss", epoch, worker = w);
+    }
+
+    fn proof_response(&self, worker: &PoolWorker, index: usize) -> Option<Upload> {
+        // The worker opens from local storage (infallible in-process).
+        let weights = worker.open_checkpoint(index).ok()?;
+        let response = if self.packed {
+            wire::encode_proof_response_packed(index, &weights)
+        } else {
+            wire::encode_proof_response(index, &weights)
+        };
+        Some(Upload::Payload(None, response))
     }
 }
 
@@ -577,17 +539,28 @@ impl MiningPool {
         model
     }
 
+    /// Closes an epoch started at `start`: evaluates the new global model
+    /// and stamps the epoch's wall time.
+    pub(crate) fn record(
+        &self,
+        start: std::time::Instant,
+        report: EpochReport,
+        transport_time: SimClock,
+    ) -> EpochRecord {
+        EpochRecord {
+            report,
+            test_accuracy: self.test_accuracy(),
+            wall_seconds: start.elapsed().as_secs_f64(),
+            transport_time,
+        }
+    }
+
     /// Runs one epoch and returns its record.
     pub fn run_epoch(&mut self, epoch: u64) -> EpochRecord {
         let start = std::time::Instant::now();
         let _epoch_span = span!(self.recorder, "rpol.pool.epoch", epoch);
         let report = self.manager.run_epoch(&mut self.workers, epoch);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
+        self.record(start, report, SimClock::new())
     }
 
     /// Runs one epoch on the pool's persistent executor with **phase
@@ -608,12 +581,7 @@ impl MiningPool {
         let recorder = self.recorder.clone();
         let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
         let report = crate::graph::run_epoch(self, epoch);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
+        self.record(start, report, SimClock::new())
     }
 
     /// Runs one epoch through the two-tier committee hierarchy
@@ -687,23 +655,7 @@ impl MiningPool {
             // were dropped at the end of its loop iteration.
             let subs: Vec<EpochSubmission> = members
                 .iter()
-                .map(|&w| {
-                    let _g = span!(
-                        recorder,
-                        "rpol.worker.train_epoch",
-                        epoch,
-                        worker = w,
-                        steps = plan.steps
-                    );
-                    self.workers[w].run_epoch(
-                        &config,
-                        &global,
-                        plan.nonces[w],
-                        plan.steps,
-                        epoch,
-                        plan.commit_mode(),
-                    )
-                })
+                .map(|&w| self.workers[w].train_planned(&recorder, &config, &global, &plan))
                 .collect();
 
             // Sub-manager phase 2 + top-manager ingest: sampled-replay
@@ -741,99 +693,22 @@ impl MiningPool {
         }
 
         let report = self.manager.ingest_finish(ingest, &plan, comm);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
-    }
-
-    /// Runs one epoch on per-epoch crossbeam scoped threads: the pre-
-    /// executor runtime, retained as the benchmark baseline the persistent
-    /// executor is measured against. Training is a hard barrier before
-    /// worker-granular verification — no phase overlap. Assumes no
-    /// executor has been attached (use a fresh pool for baseline runs).
-    pub fn run_epoch_scoped(&mut self, epoch: u64) -> EpochRecord {
-        use parking_lot::Mutex;
-
-        let start = std::time::Instant::now();
-        let recorder = self.recorder.clone();
-        let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let n = self.workers.len();
-        let plan = self.manager.begin_epoch(n, epoch);
-
-        // Phase 1: workers train concurrently.
-        let config = *self.manager.config();
-        let global = self.manager.global_weights().to_vec();
-        let submissions: Mutex<Vec<Option<crate::worker::EpochSubmission>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        crossbeam::thread::scope(|scope| {
-            for (w, worker) in self.workers.iter_mut().enumerate() {
-                let plan = &plan;
-                let global = &global;
-                let submissions = &submissions;
-                let config = &config;
-                let recorder = &recorder;
-                scope.spawn(move |_| {
-                    let _g = span!(
-                        recorder,
-                        "rpol.worker.train_epoch",
-                        epoch,
-                        worker = w,
-                        steps = plan.steps
-                    );
-                    let sub = worker.run_epoch(
-                        config,
-                        global,
-                        plan.nonces[w],
-                        plan.steps,
-                        epoch,
-                        plan.commit_mode(),
-                    );
-                    submissions.lock()[w] = Some(sub);
-                });
-            }
-        })
-        .expect("worker thread panicked");
-        let submissions: Vec<crate::worker::EpochSubmission> = submissions
-            .into_inner()
-            .into_iter()
-            .map(|s| s.expect("every worker submitted"))
-            .collect();
-
-        // Phase 2: verification also fans out across threads.
-        let report = self
-            .manager
-            .finish_epoch_parallel(&self.workers, &plan, &submissions);
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: SimClock::new(),
-        }
+        self.record(start, report, SimClock::new())
     }
 
     /// Runs the configured number of epochs.
     pub fn run(&mut self) -> PoolReport {
-        self.run_with(RunMode::Serial)
+        self.run_with(false)
     }
 
     /// Runs the configured number of epochs on the persistent executor
     /// with train/verify phase overlap ([`MiningPool::run_epoch_parallel`]).
     pub fn run_parallel(&mut self) -> PoolReport {
         self.ensure_executor();
-        self.run_with(RunMode::Overlapped)
+        self.run_with(true)
     }
 
-    /// Runs the configured number of epochs on per-epoch scoped threads
-    /// ([`MiningPool::run_epoch_scoped`]) — the pre-executor baseline kept
-    /// for benchmarking. Never constructs the persistent executor.
-    pub fn run_scoped(&mut self) -> PoolReport {
-        self.run_with(RunMode::Scoped)
-    }
-
-    fn run_with(&mut self, mode: RunMode) -> PoolReport {
+    fn run_with(&mut self, parallel: bool) -> PoolReport {
         if let Some(hierarchy) = self.config.hierarchy {
             assert!(
                 !matches!(self.config.scheme, Scheme::Baseline),
@@ -847,17 +722,23 @@ impl MiningPool {
                 .validate(self.workers.len(), self.config.seed)
                 .expect("invalid hierarchy for this roster");
         }
+        // Every message crosses the fault-injecting transport when one is
+        // configured (DESIGN.md §9).
+        let mut link = self.config.fault.map(|fault| SimLink {
+            transport: Transport::new(&fault),
+            rec: self.recorder.clone(),
+            config: *self.manager.config(),
+            packed: matches!(self.config.scheme, Scheme::RPoLv3),
+            exec: self.executor.clone().filter(|_| parallel),
+        });
         let mut epochs = Vec::with_capacity(self.config.epochs);
         for e in 0..self.config.epochs {
-            let record = if self.config.fault.is_some() {
-                self.run_epoch_transport(e as u64, mode != RunMode::Serial)
-            } else {
-                match (mode, self.config.hierarchy) {
-                    (RunMode::Serial, Some(_)) => self.run_epoch_hierarchical(e as u64),
-                    (RunMode::Serial, None) => self.run_epoch(e as u64),
-                    (RunMode::Scoped, None) => self.run_epoch_scoped(e as u64),
-                    (RunMode::Overlapped | RunMode::Scoped, _) => self.run_epoch_parallel(e as u64),
-                }
+            let epoch = e as u64;
+            let record = match (&mut link, parallel, self.config.hierarchy) {
+                (Some(link), _, _) => run_wire_epoch(self, link, epoch, parallel),
+                (None, true, _) => self.run_epoch_parallel(epoch),
+                (None, false, Some(_)) => self.run_epoch_hierarchical(epoch),
+                (None, false, None) => self.run_epoch(epoch),
             };
             self.publish_epoch(&record);
             epochs.push(record);
@@ -916,310 +797,6 @@ impl MiningPool {
         // Fold the epoch's simulated seconds into the (logical) clock so
         // trace timestamps advance with simulated time across epochs.
         rec.advance_ns((record.transport_time.total() * 1e9) as u64);
-    }
-
-    /// Runs one epoch with every protocol message crossing the
-    /// fault-injecting transport (DESIGN.md §9).
-    ///
-    /// Phases, with all fault draws serialized in worker-id order so
-    /// `parallel` changes scheduling but never outcomes:
-    ///
-    /// 1. **Task broadcast** — each worker's [`wire::EpochTask`] (nonce +
-    ///    global model) crosses its link; delivery failure quarantines the
-    ///    worker before it trains.
-    /// 2. **Training** — tasked workers whose submission link is up train
-    ///    from the *delivered* task bytes (serially or on threads). A
-    ///    worker crashing this epoch trains partial steps that nobody will
-    ///    ever see; the simulation skips the wasted compute.
-    /// 3. **Submission upload** — results cross the links back; a dead
-    ///    peer costs the manager one commitment deadline, an exhausted
-    ///    retry budget quarantines.
-    /// 4. **Verification** — proof RPCs ride the same transport; openings
-    ///    that stop arriving quarantine the worker instead of rejecting
-    ///    it. Aggregation and credit run over the survivors.
-    ///
-    /// Byte accounting: [`CommStats`] counts each logical payload once
-    /// (what the protocol *moved*); [`TransportStats::wire_bytes`] counts
-    /// physical frames including retransmissions (what the network
-    /// *carried*).
-    fn run_epoch_transport(&mut self, epoch: u64, parallel: bool) -> EpochRecord {
-        use parking_lot::Mutex;
-
-        let start = std::time::Instant::now();
-        let recorder = self.recorder.clone();
-        let _epoch_span = span!(recorder, "rpol.pool.epoch", epoch);
-        let fault = self.config.fault.expect("transport path needs faults");
-        let transport = Transport::new(&fault);
-        let n = self.workers.len();
-        let plan = self.manager.begin_epoch(n, epoch);
-        let mut stats = TransportStats::default();
-        let mut clock = SimClock::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut comm = CommStats::default();
-
-        // Phase 1: task broadcast, serial in worker order.
-        let phase_broadcast = span!(recorder, "rpol.pool.task_broadcast", epoch);
-        let global = self.manager.global_weights().to_vec();
-        let mut tasks: Vec<Option<wire::EpochTask>> = (0..n).map(|_| None).collect();
-        for (w, worker) in self.workers.iter().enumerate() {
-            let task = wire::EpochTask {
-                epoch,
-                nonce: plan.nonces[w],
-                steps: plan.steps as u32,
-                global_weights: global.clone(),
-            };
-            let payload = wire::encode_epoch_task(&task);
-            comm.broadcast_bytes += payload.len() as u64;
-            let link = link_state(&worker.behavior(), epoch, MsgKind::Task);
-            match transport
-                .exchange(
-                    epoch,
-                    w,
-                    MsgKind::Task,
-                    0,
-                    &payload,
-                    link,
-                    &mut stats,
-                    &mut clock,
-                    &recorder,
-                )
-                .map(wire::decode_epoch_task)
-            {
-                Ok(Ok(delivered)) => tasks[w] = Some(delivered),
-                _ => quarantined.push(w),
-            }
-        }
-        drop(phase_broadcast);
-
-        // Phase 2: training on the delivered tasks. Workers that will not
-        // be able to submit (crashed this epoch) skip the doomed compute.
-        let phase_training = span!(recorder, "rpol.pool.training", epoch);
-        let submission_links: Vec<LinkState> = self
-            .workers
-            .iter()
-            .map(|worker| link_state(&worker.behavior(), epoch, MsgKind::Submission))
-            .collect();
-        let config = *self.manager.config();
-        let commit_mode = plan.commit_mode();
-        let mut local: Vec<Option<EpochSubmission>> = (0..n).map(|_| None).collect();
-        if parallel {
-            let slots: Mutex<Vec<Option<EpochSubmission>>> =
-                Mutex::new((0..n).map(|_| None).collect());
-            if let Some(exec) = self.executor.clone() {
-                // Persistent-executor runtime: training tasks land on the
-                // long-lived pool instead of per-epoch OS threads.
-                exec.scope(|s| {
-                    for (w, worker) in self.workers.iter_mut().enumerate() {
-                        let Some(task) = tasks[w].as_ref() else {
-                            continue;
-                        };
-                        if !submission_links[w].alive {
-                            continue;
-                        }
-                        let slots = &slots;
-                        let config = &config;
-                        let recorder = &recorder;
-                        s.spawn(move || {
-                            let _g = span!(
-                                recorder,
-                                "rpol.worker.train_epoch",
-                                epoch,
-                                worker = w,
-                                steps = task.steps
-                            );
-                            let sub = worker.run_epoch(
-                                config,
-                                &task.global_weights,
-                                task.nonce,
-                                task.steps as usize,
-                                epoch,
-                                commit_mode,
-                            );
-                            slots.lock()[w] = Some(sub);
-                        });
-                    }
-                });
-            } else {
-                crossbeam::thread::scope(|scope| {
-                    for (w, worker) in self.workers.iter_mut().enumerate() {
-                        let Some(task) = tasks[w].as_ref() else {
-                            continue;
-                        };
-                        if !submission_links[w].alive {
-                            continue;
-                        }
-                        let slots = &slots;
-                        let config = &config;
-                        let recorder = &recorder;
-                        scope.spawn(move |_| {
-                            let _g = span!(
-                                recorder,
-                                "rpol.worker.train_epoch",
-                                epoch,
-                                worker = w,
-                                steps = task.steps
-                            );
-                            let sub = worker.run_epoch(
-                                config,
-                                &task.global_weights,
-                                task.nonce,
-                                task.steps as usize,
-                                epoch,
-                                commit_mode,
-                            );
-                            slots.lock()[w] = Some(sub);
-                        });
-                    }
-                })
-                .expect("worker thread panicked");
-            }
-            local = slots.into_inner();
-        } else {
-            for (w, worker) in self.workers.iter_mut().enumerate() {
-                let Some(task) = tasks[w].as_ref() else {
-                    continue;
-                };
-                if !submission_links[w].alive {
-                    continue;
-                }
-                let _g = span!(
-                    recorder,
-                    "rpol.worker.train_epoch",
-                    epoch,
-                    worker = w,
-                    steps = task.steps
-                );
-                local[w] = Some(worker.run_epoch(
-                    &config,
-                    &task.global_weights,
-                    task.nonce,
-                    task.steps as usize,
-                    epoch,
-                    commit_mode,
-                ));
-            }
-        }
-        drop(phase_training);
-
-        // Phase 3: submission upload, serial in worker order.
-        let phase_submission = span!(recorder, "rpol.pool.submission", epoch);
-        let hashes_per_group = match plan.commit_mode() {
-            CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
-            _ => 0,
-        };
-        let mut delivered: Vec<Option<EpochSubmission>> = (0..n).map(|_| None).collect();
-        for w in 0..n {
-            if tasks[w].is_none() {
-                continue; // already quarantined at task delivery
-            }
-            if !submission_links[w].alive {
-                // The worker fell silent: the manager waits out one
-                // commitment deadline, then quarantines it.
-                stats.timeouts += 1;
-                clock.add(MsgKind::Submission.label(), transport.policy().timeout_s);
-                clock.tick("deadline_miss");
-                event!(recorder, "rpol.pool.deadline_miss", epoch, worker = w);
-                quarantined.push(w);
-                continue;
-            }
-            let sub = local[w].take().expect("tasked live worker trained");
-            let payload = wire::encode_submission(&sub.final_weights, sub.commitment.as_ref());
-            stats.bytes_saved +=
-                (wire::submission_raw_wire_size(sub.final_weights.len(), sub.commitment.as_ref())
-                    as u64)
-                    .saturating_sub(payload.len() as u64);
-            match transport
-                .exchange(
-                    epoch,
-                    w,
-                    MsgKind::Submission,
-                    0,
-                    &payload,
-                    submission_links[w],
-                    &mut stats,
-                    &mut clock,
-                    &recorder,
-                )
-                .map(wire::decode_submission)
-            {
-                Ok(Ok((final_weights, commitment))) => {
-                    comm.submission_bytes += payload.len() as u64;
-                    // The manager works from what the wire delivered, not
-                    // from the worker's in-process state. Hashing cost is
-                    // recomputed from the decoded commitment — a pure
-                    // function of model size and scheme, so both sides of
-                    // the wire always account the same number.
-                    let commit_bytes_hashed = commitment
-                        .as_ref()
-                        .map_or(0, |c| c.bytes_hashed(final_weights.len(), hashes_per_group));
-                    delivered[w] = Some(EpochSubmission {
-                        worker_id: w,
-                        final_weights,
-                        commitment,
-                        upload_bytes: payload.len() as u64,
-                        commit_bytes_hashed,
-                    });
-                }
-                _ => quarantined.push(w),
-            }
-        }
-        drop(phase_submission);
-
-        // Phase 4: verification over the survivors, openings served
-        // through per-worker transport endpoints.
-        let phase_verification = span!(recorder, "rpol.pool.verification", epoch);
-        let packed = matches!(self.config.scheme, Scheme::RPoLv3);
-        let providers: Vec<Option<TransportProvider<'_>>> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(w, worker)| {
-                delivered[w]
-                    .as_ref()
-                    .map(|_| TransportProvider::new(&transport, worker, epoch, &recorder, packed))
-            })
-            .collect();
-        let participants: Vec<Participant<'_>> = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter_map(|(w, worker)| {
-                let submission = delivered[w].as_ref()?;
-                let provider = providers[w].as_ref()?;
-                Some(Participant {
-                    id: w,
-                    address: worker.address,
-                    shard: worker.shard(),
-                    submission,
-                    provider,
-                })
-            })
-            .collect();
-        let mut report = self.manager.finish_epoch_partial(
-            &plan,
-            n,
-            &participants,
-            &quarantined,
-            comm,
-            parallel,
-        );
-
-        // Merge proof-channel traffic in worker-id order: deterministic
-        // regardless of verification scheduling.
-        for provider in providers.into_iter().flatten() {
-            let state = provider.state.into_inner();
-            stats.merge(&state.stats);
-            clock.merge(&state.clock);
-        }
-        report.transport = stats;
-        drop(phase_verification);
-
-        EpochRecord {
-            report,
-            test_accuracy: self.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: clock,
-        }
     }
 }
 

@@ -1,9 +1,10 @@
 //! The manager as a real socket service (DESIGN.md §14).
 //!
 //! [`PoolServer`] binds a TCP (or Unix) listener, speaks the checksummed
-//! frame protocol from [`wire`], and drives the same epoch pipeline as
-//! the simulated transport path — task broadcast, submission collection,
-//! sampled-proof verification — against workers connected over real
+//! frame protocol from [`wire`], and drives every epoch through the same
+//! wire-epoch driver as the simulated transport path
+//! (`link::run_wire_epoch`: task broadcast, submission collection,
+//! sampled-proof verification) against workers connected over real
 //! sockets ([`crate::client::WorkerClient`]).
 //!
 //! # Robustness
@@ -39,7 +40,8 @@
 //!
 //! The reactor is a nonblocking sweep ([`NetCore::pump`]) behind a mutex:
 //! any thread that is waiting on the network — the epoch driver or a
-//! verification task parked in [`ProofProvider::open_checkpoint`] —
+//! verification task parked in
+//! [`ProofProvider::open_checkpoint`](crate::verify::ProofProvider::open_checkpoint) —
 //! drives the sweep itself (cooperative pumping, deadlock-free at any
 //! executor width). During the training window, when the driver has
 //! nothing else to do, a flag-bounded pump job is detached onto the
@@ -60,17 +62,17 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::adversary::WorkerBehavior;
-use crate::manager::{CommStats, Participant};
+use crate::link::{run_wire_epoch, Link, Upload};
+use crate::manager::{EpochPlan, EpochReport};
 use crate::poll;
-use crate::pool::{EpochRecord, MiningPool, PoolConfig, PoolReport, Scheme};
-use crate::transport::{FaultConfig, LinkState, MsgKind, Transport, TransportStats};
-use crate::verify::{ProofProvider, ProofUnavailable};
+use crate::pool::{MiningPool, PoolConfig, PoolReport, Scheme};
+use crate::transport::{FaultConfig, MsgKind, Transport, TransportStats};
 use crate::wire::{
     self, BufPool, BusyReason, FamilySpec, FrameAssembler, NetControl, PayloadClass,
 };
-use crate::worker::{CommitMode, EpochSubmission};
+use crate::worker::PoolWorker;
 use rpol_exec::Executor;
-use rpol_obs::{event, Recorder, TraceContext, Value};
+use rpol_obs::{event, Recorder, TraceContext};
 use rpol_sim::SimClock;
 use serde::Serialize;
 
@@ -590,34 +592,14 @@ struct Conn {
     last_seen: Instant,
 }
 
-/// A worker's submission slot for the current epoch.
-enum SubMail {
-    /// The payload arrived intact (its chaos draws succeeded), possibly
-    /// carrying the client's trace context (stripped before
-    /// classification, consumed at the serial ingest point).
-    Pristine(Option<TraceContext>, Bytes),
-    /// The worker's chaos draws exhausted the retry budget; only the
-    /// lengths crossed (via [`NetControl::ChaosGone`]) so the server can
-    /// re-derive the identical accounting.
-    Gone { payload_len: u32, raw_len: u32 },
-    /// Refused by load shedding; quarantine without any chaos accounting.
-    Shed,
-}
-
-/// A worker's proof-response queue entry.
-enum ProofMail {
-    Pristine(Option<TraceContext>, Bytes),
-    Gone {
-        seq: u64,
-        payload_len: u32,
-        raw_len: u32,
-    },
-}
-
 #[derive(Default)]
+/// A worker's uploads for the current epoch: the submission slot (first
+/// arrival wins) and the proof-response queue. A payload keeps the
+/// client's trace context, stripped before classification and consumed
+/// at the serial ingest point.
 struct Mailbox {
-    submission: Option<SubMail>,
-    proofs: VecDeque<ProofMail>,
+    submission: Option<Upload>,
+    proofs: VecDeque<Upload>,
 }
 
 /// The reactor state: listener, connection table, per-worker mailboxes,
@@ -1277,7 +1259,7 @@ impl NetCore {
                         }
                         if self.inflight >= self.cfg.max_inflight {
                             self.stats.shed_submissions += 1;
-                            self.mail[w].submission = Some(SubMail::Shed);
+                            self.mail[w].submission = Some(Upload::Shed);
                             self.pool.put(Vec::from(payload));
                             let busy = self.seal_control_pooled(&NetControl::Busy {
                                 reason: BusyReason::Shedding,
@@ -1285,13 +1267,11 @@ impl NetCore {
                             return Self::enqueue(&self.cfg, conn, busy);
                         }
                         self.inflight += 1;
-                        self.mail[w].submission = Some(SubMail::Pristine(ctx, payload));
+                        self.mail[w].submission = Some(Upload::Payload(ctx, payload));
                         RouteResult::Keep
                     }
                     PayloadClass::ProofResponse => {
-                        self.mail[w]
-                            .proofs
-                            .push_back(ProofMail::Pristine(ctx, payload));
+                        self.mail[w].proofs.push_back(Upload::Payload(ctx, payload));
                         RouteResult::Keep
                     }
                     _ => {
@@ -1332,14 +1312,15 @@ impl NetCore {
                 match MsgKind::from_wire_code(kind) {
                     Some(MsgKind::Submission) => {
                         if self.mail[w].submission.is_none() {
-                            self.mail[w].submission = Some(SubMail::Gone {
+                            self.mail[w].submission = Some(Upload::Gone {
+                                seq,
                                 payload_len,
                                 raw_len,
                             });
                         }
                     }
                     Some(MsgKind::ProofResponse) => {
-                        self.mail[w].proofs.push_back(ProofMail::Gone {
+                        self.mail[w].proofs.push_back(Upload::Gone {
                             seq,
                             payload_len,
                             raw_len,
@@ -1448,30 +1429,22 @@ impl NetCore {
         self.mail[w].submission.is_some() || !self.connected(w)
     }
 
-    fn take_submission(&mut self, w: usize) -> Option<SubMail> {
-        let mail = self.mail[w].submission.take();
-        if matches!(mail, Some(SubMail::Pristine(..))) {
-            self.inflight = self.inflight.saturating_sub(1);
-        }
-        mail
-    }
-
     /// Empties every tasked worker's submission slot in one lock hold —
     /// the epoch's batched ingest point. Untasked workers yield `None`
     /// without touching their mailboxes (they have none to take).
-    fn drain_submissions(&mut self, tasked: &[bool]) -> Vec<Option<SubMail>> {
+    fn drain_submissions(&mut self, tasked: &[bool]) -> Vec<Option<Upload>> {
         (0..tasked.len())
             .map(|w| {
-                if tasked[w] {
-                    self.take_submission(w)
-                } else {
-                    None
+                let mail = tasked[w].then(|| self.mail[w].submission.take()).flatten();
+                if matches!(mail, Some(Upload::Payload(..))) {
+                    self.inflight = self.inflight.saturating_sub(1);
                 }
+                mail
             })
             .collect()
     }
 
-    fn pop_proof(&mut self, w: usize) -> Option<ProofMail> {
+    fn pop_proof(&mut self, w: usize) -> Option<Upload> {
         self.mail[w].proofs.pop_front()
     }
 
@@ -1483,163 +1456,205 @@ impl NetCore {
     }
 }
 
-#[derive(Default)]
-struct ProviderState {
-    seq: u64,
-    stats: TransportStats,
-    clock: SimClock,
+/// Drives the reactor from the calling thread until `poll` yields, or
+/// `None` once `deadline` passes. `poll` runs under the lock and, when it
+/// cannot yield yet, pumps and returns `Err(parked)`: after a pump that
+/// did not park in the kernel, the caller naps `nap` outside the lock.
+/// Any thread waiting on the network drives the sweep itself, which is
+/// what keeps the server deadlock-free at any executor width.
+fn pump_until<T>(
+    core: &Mutex<NetCore>,
+    deadline: Duration,
+    nap: Duration,
+    mut poll: impl FnMut(&mut NetCore) -> Result<T, bool>,
+) -> Option<T> {
+    let end = Instant::now() + deadline;
+    loop {
+        let polled = poll(&mut core.lock());
+        match polled {
+            Ok(value) => return Some(value),
+            Err(_) if Instant::now() > end => return None,
+            Err(parked) => {
+                if !parked {
+                    std::thread::sleep(nap);
+                }
+            }
+        }
+    }
 }
 
-/// A [`ProofProvider`] that reaches its worker over the socket, with the
-/// chaos proxy on both legs: the request's ghost frames and outcome come
-/// from the server's own draws, the response's are re-derived from the
-/// worker's [`NetControl::ChaosGone`] / pristine delivery. The per-opening
-/// `seq` advances exactly like the simulated provider's — including when
-/// a request leg exhausts and nothing ever reaches the worker.
-struct SocketProvider<'a> {
-    transport: &'a Transport,
+/// Pumps, as [`pump_until`] does, until `done` holds after a pump;
+/// `false` when `deadline` passes first.
+fn pump_until_done(
+    core: &Mutex<NetCore>,
+    deadline: Duration,
+    mut done: impl FnMut(&NetCore) -> bool,
+) -> bool {
+    let step = |core: &mut NetCore| {
+        let parked = core.pump_or_wait(PUMP_PARK);
+        done(core).then_some(()).ok_or(parked)
+    };
+    pump_until(core, deadline, Duration::from_micros(500), step).is_some()
+}
+
+/// The socket server's [`Link`]: frames cross real connections with the
+/// chaos proxy in front. Outbound legs write the ghost frames the
+/// manager's draws produced; inbound uploads are taken from the mailboxes
+/// the reactor fills, their draws re-derived by the epoch driver from the
+/// client's [`NetControl::ChaosGone`] or pristine delivery.
+///
+/// The one deliberate divergence from the in-process link: a worker that
+/// *really* disconnects (or is shed) is quarantined without any
+/// simulated-clock charge — the simulation's dead-link deadline model
+/// (`CrashAt`/`Straggler`) has no socket analogue.
+struct SocketLink {
     core: Arc<Mutex<NetCore>>,
+    transport: Transport,
     rec: Arc<Recorder>,
-    worker: usize,
-    epoch: u64,
-    timeout: Duration,
-    state: Mutex<ProviderState>,
-    /// Distributed trace id (the pool seed) for outbound proof requests.
+    /// Hosts the training-window pump job.
+    exec: Arc<Executor>,
+    scheme: Scheme,
+    /// Distributed trace id: the pool seed.
     trace_id: u64,
-    /// Span id of the verification phase, stamped as the requests' parent.
-    parent_span: u64,
+    /// How long a phase waits on the workers.
+    timeout: Duration,
 }
 
-impl ProofProvider for SocketProvider<'_> {
-    fn open_checkpoint(
+impl Link for SocketLink {
+    fn transport(&self) -> &Transport {
+        &self.transport
+    }
+
+    fn trace_id(&self) -> Option<u64> {
+        Some(self.trace_id)
+    }
+
+    fn begin(&mut self, plan: &EpochPlan) {
+        // Commitment discipline first, on the reliable control plane: the
+        // few scalars of a FamilySpec stand in for the whole projection
+        // matrix (LshFamily::generate is pure).
+        let family = match self.scheme {
+            Scheme::RPoLv2 | Scheme::RPoLv3 => plan.calibration.as_ref().map(|c| FamilySpec {
+                r: c.params.r,
+                k: c.params.k as u32,
+                l: c.params.l as u32,
+                seed: c.family_seed,
+            }),
+            Scheme::Baseline | Scheme::RPoLv1 => None,
+        };
+        let mut core = self.core.lock();
+        core.reset_epoch();
+        core.broadcast_control(&NetControl::CommitSpec {
+            epoch: plan.epoch,
+            scheme: scheme_code(self.scheme),
+            family,
+        });
+    }
+
+    fn send(
         &self,
-        index: usize,
-    ) -> Result<std::borrow::Cow<'_, [f32]>, ProofUnavailable> {
-        let unavailable = ProofUnavailable { index };
-        let mut guard = self.state.lock();
-        let seq = guard.seq;
-        guard.seq += 1;
-        let ProviderState { stats, clock, .. } = &mut *guard;
-
-        // Request leg: manager → worker, chaos draws on the sender.
-        let request = wire::encode_proof_request(&[index]);
-        let (mut writes, outcome) = self.transport.chaos_frames(
-            self.epoch,
-            self.worker,
-            MsgKind::ProofRequest,
-            seq,
-            &request,
-            LinkState::healthy(),
-            stats,
-            clock,
-            &self.rec,
-        );
-        // The trace extension rides only the pristine frame (always the
-        // last write of a successful exchange) and wraps *after* the chaos
-        // draws, so tracing never shifts a fault outcome.
-        if self.rec.enabled() && outcome.is_ok() {
-            let ctx = TraceContext {
-                trace_id: self.trace_id,
-                parent_span: self.parent_span,
-                watermark: self.rec.now_ns(),
-            };
-            if let Some(last) = writes.last_mut() {
-                *last = wire::seal_frame(&wire::wrap_traced(ctx, &request));
-            }
+        w: usize,
+        request: Option<u64>,
+        payload: &Bytes,
+        mut writes: Vec<Bytes>,
+        delivered: bool,
+        ctx: Option<TraceContext>,
+    ) -> bool {
+        // The trace extension rides only the pristine frame — always the
+        // last write of a delivered exchange — and wraps *after* the chaos
+        // draws, so ghosts stay byte-identical to an untraced run.
+        if let (Some(ctx), Some(last)) = (ctx, writes.last_mut()) {
+            *last = wire::seal_frame(&wire::wrap_traced(ctx, payload));
         }
-        let sent = {
+        let mut core = self.core.lock();
+        if let Some(seq) = request.filter(|_| delivered) {
+            // Bind the worker's next response to this opening's fault
+            // draws before any request bytes arrive (same conn, so
+            // ordering holds).
+            core.send_control_to_worker(w, &NetControl::ProofSeq { seq });
+        }
+        let sent = core.send_framed_to_worker(w, writes);
+        core.pump();
+        sent && delivered
+    }
+
+    fn train(
+        &mut self,
+        _: &EpochPlan,
+        _: &[f32],
+        _: &mut [PoolWorker],
+        tasked: &[bool],
+    ) -> Vec<Option<Upload>> {
+        // The workers train remotely. The driver waits on the mailboxes; a
+        // flag-bounded pump job keeps the reactor live on the persistent
+        // executor meanwhile.
+        let waiting = Arc::new(AtomicBool::new(true));
+        {
+            let core = Arc::clone(&self.core);
+            let flag = Arc::clone(&waiting);
+            self.exec.spawn(move || {
+                while flag.load(Ordering::Acquire) {
+                    let parked = core.lock().pump_or_wait(PUMP_PARK);
+                    if !parked {
+                        std::thread::park_timeout(Duration::from_micros(500));
+                    }
+                }
+            });
+        }
+        pump_until_done(&self.core, self.timeout, |core| {
+            (0..tasked.len()).all(|w| !tasked[w] || core.submission_settled(w))
+        });
+        waiting.store(false, Ordering::Release);
+        // Every mailbox drains in ONE lock hold: per-worker lock round
+        // trips would be O(workers) pump-contended acquisitions on the
+        // epoch's critical path.
+        self.core.lock().drain_submissions(tasked)
+    }
+
+    fn deadline_miss(&self, epoch: u64, w: usize, _: &mut TransportStats, _: &mut SimClock) {
+        event!(self.rec, "rpol.server.deadline_miss", epoch, worker = w);
+    }
+
+    fn proof_response(&self, worker: &PoolWorker, _index: usize) -> Option<Upload> {
+        // Wait on the mailbox, pumping the reactor cooperatively so any
+        // number of concurrent openings make progress at any executor
+        // width.
+        pump_until(
+            &self.core,
+            self.timeout,
+            Duration::from_micros(200),
+            |core| {
+                core.pop_proof(worker.id)
+                    .ok_or_else(|| core.pump_or_wait(PUMP_PARK))
+            },
+        )
+    }
+
+    fn recycle(&mut self, spent: Vec<Bytes>) {
+        if !spent.is_empty() {
+            // One re-lock recycles every decoded payload's backing store.
             let mut core = self.core.lock();
-            if outcome.is_ok() {
-                // Bind the worker's next response to this opening's fault
-                // draws before any request bytes arrive (same conn, so
-                // ordering is guaranteed).
-                core.send_control_to_worker(self.worker, &NetControl::ProofSeq { seq });
+            for buf in spent {
+                core.pool.put(Vec::from(buf));
             }
-            let sent = core.send_framed_to_worker(self.worker, writes);
-            core.pump();
-            sent
-        };
-        if outcome.is_err() || !sent {
-            return Err(unavailable);
         }
+    }
 
-        // Response leg: wait on the mailbox, pumping the reactor
-        // cooperatively so any number of concurrent openings make
-        // progress at any executor width.
-        let deadline = Instant::now() + self.timeout;
-        let mail = loop {
-            let parked = {
-                let mut core = self.core.lock();
-                if let Some(mail) = core.pop_proof(self.worker) {
-                    break mail;
-                }
-                core.pump_or_wait(PUMP_PARK)
+    fn end(&mut self, report: &EpochReport) {
+        // Verdicts back to the workers on the control plane.
+        let mut core = self.core.lock();
+        for w in 0..core.n_workers {
+            let status: u8 = if report.accepted.contains(&w) {
+                0
+            } else if report.rejected.contains(&w) {
+                1
+            } else {
+                2
             };
-            if Instant::now() > deadline {
-                return Err(unavailable);
-            }
-            if !parked {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        };
-        match mail {
-            ProofMail::Pristine(ctx, payload) => {
-                if let Some(ctx) = ctx {
-                    // Consumed here — per opening, under the provider's
-                    // serialized seq — not at nondeterministic arrival time.
-                    self.rec.child_event(
-                        "rpol.server.ingest_proof",
-                        ctx,
-                        &[
-                            ("worker", Value::from(self.worker)),
-                            ("seq", Value::from(seq)),
-                        ],
-                    );
-                }
-                let payload_len = payload.len();
-                let outcome = self.transport.chaos_outcome(
-                    self.epoch,
-                    self.worker,
-                    MsgKind::ProofResponse,
-                    seq,
-                    payload_len,
-                    LinkState::healthy(),
-                    stats,
-                    clock,
-                    &self.rec,
-                );
-                debug_assert!(outcome.is_ok(), "pristine delivery implies chaos success");
-                let (got_index, got_weights) =
-                    wire::decode_proof_response(payload).map_err(|_| unavailable)?;
-                stats.bytes_saved += (wire::proof_response_raw_wire_size(got_weights.len()) as u64)
-                    .saturating_sub(payload_len as u64);
-                if got_index != index {
-                    return Err(unavailable);
-                }
-                Ok(std::borrow::Cow::Owned(got_weights))
-            }
-            ProofMail::Gone {
-                seq: gone_seq,
-                payload_len,
-                raw_len,
-            } => {
-                debug_assert_eq!(gone_seq, seq, "proof mailbox out of sync");
-                stats.bytes_saved += u64::from(raw_len.saturating_sub(payload_len));
-                let outcome = self.transport.chaos_outcome(
-                    self.epoch,
-                    self.worker,
-                    MsgKind::ProofResponse,
-                    seq,
-                    payload_len as usize,
-                    LinkState::healthy(),
-                    stats,
-                    clock,
-                    &self.rec,
-                );
-                debug_assert!(outcome.is_err(), "ChaosGone implies exhausted draws");
-                Err(unavailable)
-            }
+            let epoch = report.epoch;
+            core.send_control_to_worker(w, &NetControl::EpochEnd { epoch, status });
         }
+        core.pump();
     }
 }
 
@@ -1648,11 +1663,8 @@ impl ProofProvider for SocketProvider<'_> {
 /// serialized fault accounting as the simulated transport path.
 pub struct PoolServer {
     pool: MiningPool,
-    core: Arc<Mutex<NetCore>>,
-    transport: Transport,
+    link: SocketLink,
     cfg: ServerConfig,
-    recorder: Arc<Recorder>,
-    exec: Arc<Executor>,
     local: String,
 }
 
@@ -1718,13 +1730,19 @@ impl PoolServer {
             timer_granularity,
             pool: BufPool::new(),
         };
-        Ok(Self {
-            pool,
+        let link = SocketLink {
             core: Arc::new(Mutex::new(core)),
             transport,
-            cfg,
-            recorder,
+            rec: recorder,
             exec,
+            scheme: pool.config().scheme,
+            trace_id: pool.config().seed,
+            timeout: cfg.phase_timeout,
+        };
+        Ok(Self {
+            pool,
+            link,
+            cfg,
             local,
         })
     }
@@ -1737,7 +1755,7 @@ impl PoolServer {
 
     /// Current socket-layer counters.
     pub fn net_stats(&self) -> NetStats {
-        self.core.lock().net_stats()
+        self.link.core.lock().net_stats()
     }
 
     /// Pumps the reactor until `n` distinct workers have completed the
@@ -1747,26 +1765,14 @@ impl PoolServer {
     ///
     /// Returns `TimedOut` when the roster is still short at the deadline.
     pub fn wait_for_workers(&self, n: usize, deadline: Duration) -> io::Result<()> {
-        let end = Instant::now() + deadline;
-        loop {
-            let parked = {
-                let mut core = self.core.lock();
-                let parked = core.pump_or_wait(PUMP_PARK);
-                if core.by_worker.len() >= n {
-                    return Ok(());
-                }
-                parked
-            };
-            if Instant::now() > end {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "workers did not connect before the deadline",
-                ));
-            }
-            if !parked {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
+        let connected =
+            pump_until_done(&self.link.core, deadline, |core| core.by_worker.len() >= n);
+        connected.then_some(()).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::TimedOut,
+                "workers did not connect before the deadline",
+            )
+        })
     }
 
     /// Runs the configured number of epochs against the connected
@@ -1780,17 +1786,22 @@ impl PoolServer {
         let epochs_total = self.pool.config().epochs;
         // Publish the epoch plan before the roster gathers so a status
         // probe during the connect phase already sees it.
-        self.core.lock().progress.epochs_total = epochs_total as u64;
+        self.link.core.lock().progress.epochs_total = epochs_total as u64;
         self.wait_for_workers(n, self.cfg.connect_deadline)?;
         let mut epochs = Vec::with_capacity(epochs_total);
         for e in 0..epochs_total {
-            let record = self.run_epoch(e as u64);
+            let record = run_wire_epoch(
+                &mut self.pool,
+                &mut self.link,
+                e as u64,
+                self.cfg.parallel_verify,
+            );
             self.pool.publish_epoch(&record);
             self.publish_net(Some(record.wall_seconds));
             {
                 // Fold the finished epoch into the status-plane progress
                 // at this serial point, so a poll never sees half an epoch.
-                let mut core = self.core.lock();
+                let mut core = self.link.core.lock();
                 core.progress.epochs_done += 1;
                 core.progress.accepted += record.report.accepted.len() as u64;
                 core.progress.rejected += record.report.rejected.len() as u64;
@@ -1809,7 +1820,7 @@ impl PoolServer {
             epochs.push(record);
         }
         {
-            let mut core = self.core.lock();
+            let mut core = self.link.core.lock();
             core.broadcast_control(&NetControl::Shutdown);
         }
         self.drain(Duration::from_secs(2));
@@ -1826,23 +1837,7 @@ impl PoolServer {
     /// Pumps until every outbox is flushed (or the deadline passes), so
     /// shutdown notices actually reach the workers.
     fn drain(&self, deadline: Duration) {
-        let end = Instant::now() + deadline;
-        loop {
-            let parked = {
-                let mut core = self.core.lock();
-                let parked = core.pump_or_wait(PUMP_PARK);
-                if core.outboxes_empty() {
-                    return;
-                }
-                parked
-            };
-            if Instant::now() > end {
-                return;
-            }
-            if !parked {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
+        pump_until_done(&self.link.core, deadline, NetCore::outboxes_empty);
     }
 
     /// Publishes the `net.*` counter deltas since the last call (and the
@@ -1850,417 +1845,11 @@ impl PoolServer {
     /// histograms — never counters — so the `net.*` counter family stays in
     /// one-to-one correspondence with [`NetStats`].
     fn publish_net(&mut self, epoch_seconds: Option<f64>) {
-        self.core.lock().publish_stats();
-        let rec = &*self.recorder;
+        self.link.core.lock().publish_stats();
+        let rec = &*self.link.rec;
         if let Some(seconds) = epoch_seconds {
             rec.observe("net.epoch_ms", (seconds * 1e3) as u64);
             rec.observe_latency("net.epoch_latency", (seconds * 1e6) as u64);
-        }
-    }
-
-    /// One epoch over the wire, phase-by-phase identical to the simulated
-    /// [`MiningPool`] transport path: every fault draw lands in the same
-    /// serialized worker-id order, so stats, clock, and quarantine
-    /// decisions agree bit for bit when every link is up.
-    ///
-    /// The one deliberate divergence: a worker that *really* disconnects
-    /// (or is shed) is quarantined without any simulated-clock charge —
-    /// the simulation's dead-link deadline model (`CrashAt`/`Straggler`)
-    /// has no socket analogue.
-    fn run_epoch(&mut self, epoch: u64) -> EpochRecord {
-        let start = Instant::now();
-        let recorder = self.recorder.clone();
-        // The distributed trace is keyed by the pool seed; every phase span
-        // is a child of the epoch span, and outbound frames carry a context
-        // whose parent is the phase that caused them (DESIGN.md §16).
-        let trace_id = self.pool.config().seed;
-        let (_epoch_span, epoch_sid) = recorder.child_span(
-            "rpol.server.epoch",
-            TraceContext {
-                trace_id,
-                parent_span: 0,
-                watermark: 0,
-            },
-            &[("epoch", Value::from(epoch))],
-        );
-        let under_epoch = TraceContext {
-            trace_id,
-            parent_span: epoch_sid,
-            watermark: 0,
-        };
-        let n = self.pool.workers.len();
-        let plan = self.pool.manager.begin_epoch(n, epoch);
-        let mut stats = TransportStats::default();
-        let mut clock = SimClock::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut comm = CommStats::default();
-        self.core.lock().reset_epoch();
-
-        // Commitment discipline first, on the reliable control plane: the
-        // few scalars of a FamilySpec stand in for the whole projection
-        // matrix (LshFamily::generate is pure).
-        let scheme = self.pool.config().scheme;
-        let family = match scheme {
-            Scheme::RPoLv2 | Scheme::RPoLv3 => plan.calibration.as_ref().map(|c| FamilySpec {
-                r: c.params.r,
-                k: c.params.k as u32,
-                l: c.params.l as u32,
-                seed: c.family_seed,
-            }),
-            Scheme::Baseline | Scheme::RPoLv1 => None,
-        };
-        self.core.lock().broadcast_control(&NetControl::CommitSpec {
-            epoch,
-            scheme: scheme_code(scheme),
-            family,
-        });
-
-        // Phase 1: task broadcast, serial in worker order.
-        let (phase_broadcast, broadcast_sid) = recorder.child_span(
-            "rpol.pool.task_broadcast",
-            under_epoch,
-            &[("epoch", Value::from(epoch))],
-        );
-        let global = self.pool.manager.global_weights().to_vec();
-        let mut tasked = vec![false; n];
-        #[allow(clippy::needless_range_loop)] // worker order fixes the chaos draw order
-        for w in 0..n {
-            let task = wire::EpochTask {
-                epoch,
-                nonce: plan.nonces[w],
-                steps: plan.steps as u32,
-                global_weights: global.clone(),
-            };
-            let payload = wire::encode_epoch_task(&task);
-            comm.broadcast_bytes += payload.len() as u64;
-            let (mut writes, outcome) = self.transport.chaos_frames(
-                epoch,
-                w,
-                MsgKind::Task,
-                0,
-                &payload,
-                LinkState::healthy(),
-                &mut stats,
-                &mut clock,
-                &recorder,
-            );
-            // Wrap only the pristine frame (the last write of a successful
-            // exchange), after the chaos draws: ghosts stay byte-identical
-            // to the untraced run and fault outcomes never shift.
-            if recorder.enabled() && outcome.is_ok() {
-                let ctx = TraceContext {
-                    trace_id,
-                    parent_span: broadcast_sid,
-                    watermark: recorder.now_ns(),
-                };
-                if let Some(last) = writes.last_mut() {
-                    *last = wire::seal_frame(&wire::wrap_traced(ctx, &payload));
-                }
-            }
-            let sent = {
-                let mut core = self.core.lock();
-                let sent = core.send_framed_to_worker(w, writes);
-                core.pump();
-                sent
-            };
-            if outcome.is_ok() && sent {
-                tasked[w] = true;
-            } else {
-                quarantined.push(w);
-            }
-        }
-        drop(phase_broadcast);
-
-        // Phases 2+3 (worker side): training then submission upload. The
-        // driver waits on the mailboxes; a flag-bounded pump job keeps
-        // the reactor live on the persistent executor meanwhile.
-        let (phase_training, _) = recorder.child_span(
-            "rpol.pool.training",
-            under_epoch,
-            &[("epoch", Value::from(epoch))],
-        );
-        {
-            let waiting = Arc::new(AtomicBool::new(true));
-            {
-                let core = Arc::clone(&self.core);
-                let flag = Arc::clone(&waiting);
-                self.exec.spawn(move || {
-                    while flag.load(Ordering::Acquire) {
-                        let parked = core.lock().pump_or_wait(PUMP_PARK);
-                        if !parked {
-                            std::thread::park_timeout(Duration::from_micros(500));
-                        }
-                    }
-                });
-            }
-            let deadline = Instant::now() + self.cfg.phase_timeout;
-            loop {
-                let parked = {
-                    let mut core = self.core.lock();
-                    let parked = core.pump_or_wait(PUMP_PARK);
-                    if (0..n).all(|w| !tasked[w] || core.submission_settled(w)) {
-                        break;
-                    }
-                    parked
-                };
-                if Instant::now() > deadline {
-                    break;
-                }
-                if !parked {
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            }
-            waiting.store(false, Ordering::Release);
-        }
-        drop(phase_training);
-
-        // Phase 3 (manager side): drain every mailbox in ONE lock hold,
-        // then account the batch serially in worker order — chaos outcomes
-        // recomputed from lengths, bit-for-bit with the simulated path.
-        // The per-worker lock round-trips this replaces were O(workers)
-        // pump-contended acquisitions on the epoch's critical path.
-        let (phase_submission, submission_sid) = recorder.child_span(
-            "rpol.pool.submission",
-            under_epoch,
-            &[("epoch", Value::from(epoch))],
-        );
-        let hashes_per_group = match plan.commit_mode() {
-            CommitMode::V2(f) | CommitMode::V3(f) => f.params().k,
-            _ => 0,
-        };
-        let batch = self.core.lock().drain_submissions(&tasked);
-        let (batch_span, _) = recorder.child_span(
-            "rpol.server.ingest_batch",
-            TraceContext {
-                trace_id,
-                parent_span: submission_sid,
-                watermark: recorder.now_ns(),
-            },
-            &[
-                ("epoch", Value::from(epoch)),
-                (
-                    "drained",
-                    Value::from(batch.iter().filter(|m| m.is_some()).count() as u64),
-                ),
-            ],
-        );
-        // Spent pristine payload buffers, recycled in one re-lock below.
-        let mut spent: Vec<Vec<u8>> = Vec::new();
-        let mut delivered: Vec<Option<EpochSubmission>> = (0..n).map(|_| None).collect();
-        for (w, mail) in batch.into_iter().enumerate() {
-            if !tasked[w] {
-                continue; // already quarantined at task delivery
-            }
-            match mail {
-                Some(SubMail::Pristine(ctx, payload)) => {
-                    if let Some(ctx) = ctx {
-                        // Serial ingest point (worker-id order), so the
-                        // cross-process causal edge lands deterministically.
-                        recorder.child_event(
-                            "rpol.server.ingest_submission",
-                            ctx,
-                            &[("epoch", Value::from(epoch)), ("worker", Value::from(w))],
-                        );
-                    }
-                    let payload_len = payload.len();
-                    let outcome = self.transport.chaos_outcome(
-                        epoch,
-                        w,
-                        MsgKind::Submission,
-                        0,
-                        payload_len,
-                        LinkState::healthy(),
-                        &mut stats,
-                        &mut clock,
-                        &recorder,
-                    );
-                    debug_assert!(outcome.is_ok(), "pristine delivery implies chaos success");
-                    let mut payload = payload;
-                    let decoded = wire::decode_submission_in(&mut payload);
-                    spent.push(Vec::from(payload));
-                    match decoded {
-                        Ok((final_weights, commitment)) => {
-                            stats.bytes_saved += (wire::submission_raw_wire_size(
-                                final_weights.len(),
-                                commitment.as_ref(),
-                            ) as u64)
-                                .saturating_sub(payload_len as u64);
-                            comm.submission_bytes += payload_len as u64;
-                            let commit_bytes_hashed = commitment.as_ref().map_or(0, |c| {
-                                c.bytes_hashed(final_weights.len(), hashes_per_group)
-                            });
-                            delivered[w] = Some(EpochSubmission {
-                                worker_id: w,
-                                final_weights,
-                                commitment,
-                                upload_bytes: payload_len as u64,
-                                commit_bytes_hashed,
-                            });
-                        }
-                        Err(_) => quarantined.push(w),
-                    }
-                }
-                Some(SubMail::Gone {
-                    payload_len,
-                    raw_len,
-                }) => {
-                    stats.bytes_saved += u64::from(raw_len.saturating_sub(payload_len));
-                    let outcome = self.transport.chaos_outcome(
-                        epoch,
-                        w,
-                        MsgKind::Submission,
-                        0,
-                        payload_len as usize,
-                        LinkState::healthy(),
-                        &mut stats,
-                        &mut clock,
-                        &recorder,
-                    );
-                    debug_assert!(outcome.is_err(), "ChaosGone implies exhausted draws");
-                    quarantined.push(w);
-                }
-                Some(SubMail::Shed) => {
-                    event!(recorder, "rpol.server.shed", epoch, worker = w);
-                    quarantined.push(w);
-                }
-                None => {
-                    event!(recorder, "rpol.server.deadline_miss", epoch, worker = w);
-                    quarantined.push(w);
-                }
-            }
-        }
-        drop(batch_span);
-        if !spent.is_empty() {
-            // One re-lock recycles every decoded payload's backing store.
-            let mut core = self.core.lock();
-            for buf in spent {
-                core.pool.put(buf);
-            }
-        }
-        drop(phase_submission);
-
-        // Phase 4: verification over the survivors, openings served over
-        // the socket through per-worker providers.
-        // (RPoLv3's packed proof framing needs no server-side switch:
-        // the client picks the encoding from the CommitSpec, and the
-        // decoder dispatches on the wire tag.)
-        let (phase_verification, verify_sid) = recorder.child_span(
-            "rpol.pool.verification",
-            under_epoch,
-            &[("epoch", Value::from(epoch))],
-        );
-        let providers: Vec<Option<SocketProvider<'_>>> = (0..n)
-            .map(|w| {
-                delivered[w].as_ref().map(|_| SocketProvider {
-                    transport: &self.transport,
-                    core: Arc::clone(&self.core),
-                    rec: recorder.clone(),
-                    worker: w,
-                    epoch,
-                    timeout: self.cfg.phase_timeout,
-                    state: Mutex::new(ProviderState::default()),
-                    trace_id,
-                    parent_span: verify_sid,
-                })
-            })
-            .collect();
-        let participants: Vec<Participant<'_>> = (0..n)
-            .filter_map(|w| {
-                let submission = delivered[w].as_ref()?;
-                let provider = providers[w].as_ref()?;
-                let worker = &self.pool.workers[w];
-                Some(Participant {
-                    id: w,
-                    address: worker.address,
-                    shard: worker.shard(),
-                    submission,
-                    provider,
-                })
-            })
-            .collect();
-        let mut report = if let Some(hierarchy) = self.pool.config().hierarchy {
-            // Two-tier reduction over the socket roster: the delivered
-            // participants are grouped into their rendezvous committees
-            // and stream through the same sub-manager → batch → audit
-            // pipeline as the in-process pool (DESIGN.md §15).
-            let seed = self.pool.config().seed;
-            let prepared = self
-                .pool
-                .manager
-                .prepare_verification(&plan, n)
-                .expect("hierarchy requires a verifying scheme");
-            // Each committee's sub-manager round trip runs under its own
-            // child span of the verification phase, so stitched timelines
-            // show the two-tier structure per committee.
-            self.pool.manager.ingest_partitioned(
-                hierarchy,
-                seed,
-                n,
-                &participants,
-                &quarantined,
-                &plan,
-                &prepared,
-                self.cfg.parallel_verify,
-                comm,
-                |c, members| {
-                    let (committee_span, _) = recorder.child_span(
-                        "rpol.server.committee",
-                        TraceContext {
-                            trace_id,
-                            parent_span: verify_sid,
-                            watermark: 0,
-                        },
-                        &[
-                            ("epoch", Value::from(epoch)),
-                            ("committee", Value::from(c)),
-                            ("members", Value::from(members)),
-                        ],
-                    );
-                    committee_span
-                },
-            )
-        } else {
-            self.pool.manager.finish_epoch_partial(
-                &plan,
-                n,
-                &participants,
-                &quarantined,
-                comm,
-                self.cfg.parallel_verify,
-            )
-        };
-        drop(participants);
-        // Merge proof-channel traffic in worker-id order: deterministic
-        // regardless of verification scheduling.
-        for provider in providers.into_iter().flatten() {
-            let state = provider.state.into_inner();
-            stats.merge(&state.stats);
-            clock.merge(&state.clock);
-        }
-        report.transport = stats;
-        drop(phase_verification);
-
-        // Verdicts back to the workers on the control plane.
-        {
-            let mut core = self.core.lock();
-            for w in 0..n {
-                let status: u8 = if report.accepted.contains(&w) {
-                    0
-                } else if report.rejected.contains(&w) {
-                    1
-                } else {
-                    2
-                };
-                core.send_control_to_worker(w, &NetControl::EpochEnd { epoch, status });
-            }
-            core.pump();
-        }
-
-        EpochRecord {
-            report,
-            test_accuracy: self.pool.test_accuracy(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            transport_time: clock,
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::adversary::{spoof_next_checkpoint, WorkerBehavior};
 use crate::commitment::EpochCommitment;
+use crate::manager::EpochPlan;
 use crate::tasks::TaskConfig;
 use crate::trainer::{epoch_segments, LocalTrainer, Segment};
 use crate::verify::ProofProvider;
@@ -9,6 +10,7 @@ use rpol_crypto::Address;
 use rpol_lsh::LshFamily;
 use rpol_nn::data::SyntheticImages;
 use rpol_nn::model::Sequential;
+use rpol_obs::{span, Recorder};
 use rpol_sim::gpu::{GpuModel, NoiseInjector};
 
 /// Which commitment (if any) a worker produces for the epoch.
@@ -136,6 +138,21 @@ impl PoolWorker {
     /// Segment layout of the last epoch.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
+    }
+
+    /// [`PoolWorker::run_epoch`] on this worker's share of `plan`, from
+    /// the broadcast `global` model, under a `rpol.worker.train_epoch` span.
+    pub(crate) fn train_planned(
+        &mut self,
+        rec: &Recorder,
+        config: &TaskConfig,
+        global: &[f32],
+        plan: &EpochPlan,
+    ) -> EpochSubmission {
+        let (epoch, steps, worker) = (plan.epoch, plan.steps, self.id);
+        let _g = span!(rec, "rpol.worker.train_epoch", epoch, worker, steps);
+        let nonce = plan.nonces[worker];
+        self.run_epoch(config, global, nonce, steps, epoch, plan.commit_mode())
     }
 
     /// Runs one epoch per the worker's behaviour and returns the

@@ -136,18 +136,30 @@ fn hierarchical_socket_audits_fan_out_per_sample() {
     }
 }
 
-#[test]
-fn socket_run_matches_simulated_run_bit_for_bit() {
+/// What one parity run exercised: quarantine events, rejections, and
+/// ghost frames the socket receivers discarded.
+struct ParityCoverage {
+    quarantines: usize,
+    rejections: usize,
+    ghost_frames: u64,
+}
+
+/// Runs one pool config three ways — serial in process, on the executor
+/// in process, and over loopback TCP behind the chaos proxy — and asserts
+/// the epoch reports are bit-identical: accept/reject/quarantine sets,
+/// transport stats, simulated clock, byte accounting and accuracy.
+fn assert_wire_parity(scheme: Scheme, fault: FaultConfig, epochs: usize) -> ParityCoverage {
     let behaviors = vec![
         WorkerBehavior::Honest,
         WorkerBehavior::ReplayPrevious,
         WorkerBehavior::Honest,
     ];
-    let mut config = PoolConfig::tiny_demo(Scheme::RPoLv2);
-    config.epochs = 2;
-    config = config.with_faults(aggressive_faults(0xC0FFEE));
+    let mut config = PoolConfig::tiny_demo(scheme);
+    config.epochs = epochs;
+    config = config.with_faults(fault);
 
     let simulated = MiningPool::new(config, behaviors.clone()).run();
+    let parallel = MiningPool::new(config, behaviors.clone()).run_parallel();
     let socket = run_socket_pool(
         config,
         behaviors,
@@ -158,48 +170,87 @@ fn socket_run_matches_simulated_run_bit_for_bit() {
     )
     .expect("socket run");
 
-    assert_eq!(simulated.epochs.len(), socket.report.epochs.len());
-    let mut quarantine_events = 0;
-    for (sim, sock) in simulated.epochs.iter().zip(&socket.report.epochs) {
-        assert_eq!(sim.report.accepted, sock.report.accepted, "accepted set");
-        assert_eq!(sim.report.rejected, sock.report.rejected, "rejected set");
-        assert_eq!(
-            sim.report.quarantined, sock.report.quarantined,
-            "quarantine decisions must be bitwise-identical"
-        );
-        assert_eq!(
-            sim.report.transport, sock.report.transport,
-            "TransportStats"
-        );
-        assert_eq!(
-            sim.transport_time, sock.transport_time,
-            "simulated clock must accumulate identically"
-        );
-        assert_eq!(sim.report.comm, sock.report.comm, "CommStats");
-        assert_eq!(
-            sim.report.commit_bytes_hashed,
-            sock.report.commit_bytes_hashed
-        );
-        assert_eq!(sim.report.double_checks, sock.report.double_checks);
-        assert_eq!(sim.report.replayed_steps, sock.report.replayed_steps);
-        assert_eq!(
-            sim.test_accuracy.to_bits(),
-            sock.test_accuracy.to_bits(),
-            "global model must evolve identically"
-        );
-        quarantine_events += sim.report.quarantined.len();
+    for (arm, run) in [("executor", &parallel), ("socket", &socket.report)] {
+        assert_eq!(simulated.epochs.len(), run.epochs.len(), "{scheme} {arm}");
+        for (sim, other) in simulated.epochs.iter().zip(&run.epochs) {
+            let at = format!("{scheme} {arm} epoch {}", sim.report.epoch);
+            assert_eq!(sim.report.accepted, other.report.accepted, "{at}: accepted");
+            assert_eq!(sim.report.rejected, other.report.rejected, "{at}: rejected");
+            assert_eq!(
+                sim.report.quarantined, other.report.quarantined,
+                "{at}: quarantine decisions must be bitwise-identical"
+            );
+            assert_eq!(
+                sim.report.transport, other.report.transport,
+                "{at}: TransportStats"
+            );
+            assert_eq!(
+                sim.transport_time, other.transport_time,
+                "{at}: simulated clock must accumulate identically"
+            );
+            assert_eq!(sim.report.comm, other.report.comm, "{at}: CommStats");
+            assert_eq!(sim.report.verdicts, other.report.verdicts, "{at}: verdicts");
+            assert_eq!(
+                sim.report.commit_bytes_hashed, other.report.commit_bytes_hashed,
+                "{at}: commit bytes hashed"
+            );
+            assert_eq!(sim.report.double_checks, other.report.double_checks, "{at}");
+            assert_eq!(
+                sim.report.replayed_steps, other.report.replayed_steps,
+                "{at}"
+            );
+            assert_eq!(
+                sim.test_accuracy.to_bits(),
+                other.test_accuracy.to_bits(),
+                "{at}: global model must evolve identically"
+            );
+        }
     }
-    assert!(
-        quarantine_events > 0,
-        "fixture must exercise quarantines to be meaningful (got none)"
-    );
     // The ghosts the chaos proxy actually wrote crossed the real socket
     // and were rejected by the receivers' checksums.
     let client_corrupt: u64 = socket.clients.iter().map(|c| c.corrupt_frames).sum();
-    assert!(
-        socket.net.corrupt_frames + client_corrupt > 0,
-        "harsh profile must have produced ghost frames on the wire"
-    );
+    ParityCoverage {
+        quarantines: simulated.quarantine_events(),
+        rejections: simulated.rejections(),
+        ghost_frames: socket.net.corrupt_frames + client_corrupt,
+    }
+}
+
+#[test]
+fn socket_run_matches_simulated_run_bit_for_bit() {
+    for scheme in [
+        Scheme::Baseline,
+        Scheme::RPoLv1,
+        Scheme::RPoLv2,
+        Scheme::RPoLv3,
+    ] {
+        // Harsh fixture: exhausted retry budgets quarantine workers, and
+        // mutilated ghost frames cross the wire.
+        let verifying = scheme != Scheme::Baseline;
+        let harsh = assert_wire_parity(scheme, aggressive_faults(0xC0FFEE), 2);
+        assert!(
+            harsh.quarantines > 0,
+            "{scheme}: harsh fixture must exercise quarantines to be meaningful (got none)"
+        );
+        // The baseline moves no proof traffic, so only the verifying
+        // schemes are held to showing ghosts.
+        assert!(
+            !verifying || harsh.ghost_frames > 0,
+            "{scheme}: harsh profile must have produced ghost frames on the wire"
+        );
+
+        // Lossy fixture: a rejection and a quarantine in the same run, so
+        // packed and raw proof openings cross exhausted and pristine legs.
+        let mut lossy = FaultConfig::lossy(0xC0FFEE);
+        lossy.policy.max_attempts = 2;
+        let mixed = assert_wire_parity(scheme, lossy, 4);
+        assert!(
+            !verifying || (mixed.rejections > 0 && mixed.quarantines > 0),
+            "{scheme}: lossy fixture must reject and quarantine (got {} rejections, {} quarantines)",
+            mixed.rejections,
+            mixed.quarantines
+        );
+    }
 }
 
 #[test]

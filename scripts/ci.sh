@@ -27,6 +27,13 @@ RPOL_EXEC_THREADS=8 cargo test -q -p rpol --test hierarchy_parity
 echo "== GEMM on the executor: 8-thread invariance + quantizer determinism"
 RPOL_EXEC_THREADS=8 cargo test -q -p rpol-tensor
 
+echo "== wire suites outside tier-1: sim-vs-socket parity, trace determinism, faults at 8 threads"
+# Filtered: the 1024-connection reactor case is a known multi-thread flake
+# (ROADMAP item 1).
+cargo test -q -p rpol --test net_parity socket_run_matches
+cargo test -q -p rpol --test obs_determinism
+RPOL_EXEC_THREADS=8 cargo test -q --test fault_tolerance
+
 echo "== fault-injection matrix"
 scripts/fault_matrix.sh
 
